@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"math/bits"
+	"math/rand"
 	"runtime"
-	"sort"
+	"slices"
 
 	"repro/internal/freqstats"
 	"repro/internal/parallelx"
@@ -30,6 +32,13 @@ import (
 // robust to streakers. The KL distance penalizes unmatched unique items,
 // so it favors solutions with N-hat close to c — the conservative bias
 // discussed in Section 6.1.1.
+//
+// Each simulated source costs one O(θN) selection of its n_j smallest
+// exponential keys rather than an O(θN log θN) sort of all θN of them:
+// Algorithm 2 only counts how often each item is drawn (see
+// simulateDistance). Results are bitwise those of drawing every source
+// with randx.SampleWithoutReplacement (montecarlo_golden_test.go pins
+// them).
 //
 // The grid search is embarrassingly parallel and runs on up to Workers
 // goroutines. Every (grid cell, run) pair derives its own RNG stream from
@@ -182,22 +191,43 @@ func (m MonteCarlo) forEachCell(n int, fn func(k int)) {
 // simulateDistance is Algorithm 2: the average smoothed KL divergence over
 // the configured number of runs between the observed occurrence profile
 // and profiles simulated with population size thetaN and skew lambda.
-// Every run draws from its own rand.Rand derived from (Seed, cell, run),
-// so the simulation is reproducible under any parallel schedule.
+// Every run draws from its own stream seeded from (Seed, cell, run), so
+// the simulation is reproducible under any parallel schedule.
+//
+// Each simulated source is an Efraimidis-Spirakis draw without
+// replacement, exactly as randx.SampleWithoutReplacement makes it: item i
+// gets key Exp(1)/w_i, drawn in index order, and the n_j smallest keys are
+// the source's items. Algorithm 2 only needs how often each item was
+// drawn, not the order, so the kernel selects the n_j smallest (key,
+// index) pairs (smallestK) and increments their counts. Equal keys that
+// straddle the n_j-th place, which a sort leaves in unspecified order, go
+// to the lower index. The key, scratch and count buffers and the RNG are
+// allocated once per cell and reused by every run; re-seeding the one
+// rand.Rand yields the same stream as randx.New would.
 func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) float64 {
 	weights := randx.ExponentialWeights(thetaN, lambda)
+	keys := make([]keyedItem, thetaN)
+	scratch := make([]keyedItem, thetaN)
+	counts := make([]int, thetaN)
+	var rng *rand.Rand
 	var total float64
 	runs := m.runs()
 	for r := 0; r < runs; r++ {
-		rng := randx.New(randx.Derive(m.Seed, int64(cellIdx), int64(r)))
-		counts := make([]int, thetaN)
+		seed := randx.Derive(m.Seed, int64(cellIdx), int64(r))
+		if rng == nil {
+			rng = randx.New(seed)
+		} else {
+			rng.Seed(seed)
+		}
+		clear(counts)
 		for _, nj := range sizes {
-			idx, err := randx.SampleWithoutReplacement(rng, weights, nj)
-			if err != nil {
-				return math.Inf(1)
+			// ExponentialWeights are strictly positive, so every key is
+			// finite and every item is drawable.
+			for i, w := range weights {
+				keys[i] = keyedItem{key: rng.ExpFloat64() / w, idx: int32(i)}
 			}
-			for _, j := range idx {
-				counts[j]++
+			for _, it := range smallestK(keys, scratch, nj) {
+				counts[it.idx]++
 			}
 		}
 		total += profileDistance(observed, counts)
@@ -205,37 +235,168 @@ func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, si
 	return total / float64(runs)
 }
 
+// keyedItem is one item's exponential key in a simulated source draw.
+type keyedItem struct {
+	key float64
+	idx int32
+}
+
+// before orders items by key, then index. Indexes are distinct, so this is
+// a strict total order and the selected set is unique.
+func (a keyedItem) before(b keyedItem) bool {
+	return a.key < b.key || (a.key == b.key && a.idx < b.idx)
+}
+
+// smallestK returns the k items of xs with the smallest (key, index), in
+// no particular order (all of xs if k >= len(xs)). It may permute xs and
+// overwrite scratch, which must be as long as xs.
+//
+// Most simulated sources draw a small share of the population, so
+// instead of partitioning all of xs it first guesses a key threshold a
+// little above the k-th smallest from a strided sample of 32 keys, and
+// copies the items under it to scratch in one branch-free pass. When at
+// least k items fall under the threshold, the k smallest are all among
+// them and only those are partitioned; otherwise (a low guess, rare) it
+// selects over all of xs. The result is exact either way.
+func smallestK(xs, scratch []keyedItem, k int) []keyedItem {
+	n := len(xs)
+	if k >= n {
+		return xs
+	}
+	const samples = 32
+	if n >= 4*samples && k > 0 {
+		// Aim two standard deviations of the sample fraction, plus one
+		// place, above the target fraction k/n: the threshold is the
+		// sample's r-th smallest key (0-based), found by insertion into
+		// the sorted r+1 smallest so far.
+		p := float64(k) / float64(n)
+		if r := int(p*samples+2*math.Sqrt(samples*p*(1-p))) + 1; r < samples {
+			var low [samples]float64
+			kept := 0
+			for i := 0; i < samples; i++ {
+				v := xs[i*n/samples].key
+				if kept > r {
+					if v >= low[r] {
+						continue
+					}
+					kept--
+				}
+				j := kept
+				for ; j > 0 && low[j-1] > v; j-- {
+					low[j] = low[j-1]
+				}
+				low[j] = v
+				kept++
+			}
+			t := low[r]
+			m := 0
+			for _, it := range xs {
+				scratch[m] = it
+				var under int
+				if it.key < t {
+					under = 1
+				}
+				m += under
+			}
+			if m >= k {
+				selectSmallest(scratch[:m], k)
+				return scratch[:k]
+			}
+		}
+	}
+	selectSmallest(xs, k)
+	return xs[:k]
+}
+
+// selectSmallest permutes xs so that xs[:k] holds its k smallest items
+// (in no particular order). It is a quickselect with median-of-three
+// pivots, O(len(xs)) expected; past a depth limit it sorts the remaining
+// range, which bounds the worst case at O(n log n).
+func selectSmallest(xs []keyedItem, k int) {
+	if k <= 0 || k >= len(xs) {
+		return
+	}
+	lo, hi := 0, len(xs)-1 // the k-th smallest (index k-1) lies in [lo, hi]
+	for depth := 2 * bits.Len(uint(len(xs))); hi > lo; depth-- {
+		if depth == 0 {
+			slices.SortFunc(xs[lo:hi+1], func(a, b keyedItem) int {
+				if a.before(b) {
+					return -1
+				}
+				return 1
+			})
+			return
+		}
+		// Median of three to xs[lo]; then Hoare-partition around it.
+		mid := lo + (hi-lo)/2
+		if xs[mid].before(xs[lo]) {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi].before(xs[lo]) {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[hi].before(xs[mid]) {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+		}
+		xs[lo], xs[mid] = xs[mid], xs[lo]
+		p := xs[lo]
+		i, j := lo, hi+1
+		for {
+			for i++; i <= hi && xs[i].before(p); i++ {
+			}
+			for j--; p.before(xs[j]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		xs[lo], xs[j] = xs[j], xs[lo]
+		// xs[j] is now in its sorted position.
+		switch {
+		case j == k-1 || j == k:
+			return
+		case j < k-1:
+			lo = j + 1
+		default:
+			hi = j - 1
+		}
+	}
+}
+
 // profileDistance indexes the observed and simulated occurrence profiles
 // against each other (Algorithm 2's "indexing" step): both are sorted
 // descending, padded to a common length — so the i-th most frequent
 // observed entity is compared with the i-th most frequent simulated one —
 // normalized, smoothed, and compared with KL divergence D(F'_S || F_Q).
+// Simulated counts are at most the number of sources, so the simulated
+// profile is sorted by a counting sort.
 func profileDistance(observed []int, simulated []int) float64 {
-	simSorted := make([]int, len(simulated))
-	copy(simSorted, simulated)
-	sort.Sort(sort.Reverse(sort.IntSlice(simSorted)))
-	// Trim trailing zeros from the simulation (unseen simulated items).
-	simLen := len(simSorted)
-	for simLen > 0 && simSorted[simLen-1] == 0 {
-		simLen--
+	maxCount := 0
+	for _, v := range simulated {
+		maxCount = max(maxCount, v)
 	}
-	simSorted = simSorted[:simLen]
+	hist := make([]int, maxCount+1)
+	for _, v := range simulated {
+		hist[v]++
+	}
+	// Unseen simulated items (count 0) are trimmed.
+	simLen := len(simulated) - hist[0]
 
-	width := len(observed)
-	if simLen > width {
-		width = simLen
-	}
+	width := max(len(observed), simLen)
 	if width == 0 {
 		return 0
 	}
 	fs := make([]float64, width)
 	fq := make([]float64, width)
-	for i := 0; i < width; i++ {
-		if i < len(observed) {
-			fs[i] = float64(observed[i])
-		}
-		if i < simLen {
-			fq[i] = float64(simSorted[i])
+	for i, v := range observed {
+		fs[i] = float64(v)
+	}
+	i := 0
+	for v := maxCount; v > 0; v-- {
+		for n := hist[v]; n > 0; n-- {
+			fq[i] = float64(v)
+			i++
 		}
 	}
 	d, err := stats.SmoothedKLDivergence(fs, fq, 0)

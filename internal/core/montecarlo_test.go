@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/freqstats"
@@ -198,5 +200,75 @@ func TestMonteCarloDefaults(t *testing.T) {
 	}
 	if mc.nSteps() != 10 {
 		t.Errorf("default N steps = %d", mc.nSteps())
+	}
+}
+
+func sortKeyed(xs []keyedItem) {
+	slices.SortFunc(xs, func(a, b keyedItem) int {
+		if a.before(b) {
+			return -1
+		}
+		return 1
+	})
+}
+
+// selectSmallest and smallestK must produce exactly the k smallest (key,
+// index) pairs for every k: with random keys, heavy ties, keys trending
+// up or down along the index (as skewed publicity weights make them), and
+// sizes on both sides of smallestK's sampling threshold.
+func TestSmallestKMatchesSort(t *testing.T) {
+	rng := randx.New(9)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(200)
+		if trial%2 == 0 {
+			n = 1 + rng.Intn(3000)
+		}
+		xs := make([]keyedItem, n)
+		for i := range xs {
+			key := rng.ExpFloat64()
+			switch trial % 4 {
+			case 1:
+				key = float64(rng.Intn(4)) // heavy ties
+			case 2:
+				key *= math.Exp(4 * float64(i) / float64(n)) // trending up
+			case 3:
+				key *= math.Exp(-4 * float64(i) / float64(n)) // trending down
+			}
+			xs[i] = keyedItem{key: key, idx: int32(i)}
+		}
+		sorted := slices.Clone(xs)
+		sortKeyed(sorted)
+		for _, k := range []int{0, 1, rng.Intn(n + 1), n / 20, n / 2, n - 1, n} {
+			got := slices.Clone(xs)
+			selectSmallest(got, k)
+			head := got[:k]
+			sortKeyed(head)
+			if !slices.Equal(head, sorted[:k]) {
+				t.Fatalf("selectSmallest trial %d n=%d k=%d: selected %v, want %v", trial, n, k, head, sorted[:k])
+			}
+			head = smallestK(slices.Clone(xs), make([]keyedItem, n), k)
+			sortKeyed(head)
+			if !slices.Equal(head, sorted[:k]) {
+				t.Fatalf("smallestK trial %d n=%d k=%d: selected %v, want %v", trial, n, k, head, sorted[:k])
+			}
+		}
+	}
+}
+
+// BenchmarkMonteCarloMixSample times one default Monte-Carlo estimate on
+// estimate-mix-shaped sub-samples from each of the workload's two
+// sample-size bands, sequentially and on GOMAXPROCS workers.
+func BenchmarkMonteCarloMixSample(b *testing.B) {
+	for _, c := range []int{200, 750} {
+		s := mixSample(b, c)
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("c=%d/workers=%d", c, workers), func(b *testing.B) {
+				b.ReportAllocs()
+				mc := MonteCarlo{Workers: workers}
+				for b.Loop() {
+					mc.EstimateSum(s)
+				}
+			})
+		}
 	}
 }

@@ -29,16 +29,17 @@ import (
 //     the data a scan would see. A cached bitmap therefore stays valid
 //     while `built-at epoch == current epoch`, is shared across scans
 //     within a query (Sample + GroupedSamples on the same WHERE) and
-//     across repeated queries, and is dropped the moment its epoch is
-//     stale. Cached bitmaps are immutable once published.
+//     across repeated queries, and is never served once its epoch is
+//     stale (the rebuild replaces it). Cached bitmaps are immutable once
+//     published.
 //  3. Per-shard sample partials. One step past the bitmap layer: where a
 //     cached bitmap saves re-evaluating the predicate over a clean shard,
 //     a cached partial (freqstats.Partial, frozen at publication) saves
 //     the whole scan — gather, lineage copy and all — leaving only the
 //     k-way merge and the estimators. Keyed by (predicate, aggregate
 //     attribute, shard) under the same exact-epoch serve rule as bitmaps:
-//     valid while `built-at epoch == current epoch`, dropped on probe the
-//     moment its epoch is stale. This is what makes repeated queries
+//     valid while `built-at epoch == current epoch`, replaced by the
+//     rebuild once its epoch is stale. This is what makes repeated queries
 //     incremental: after an ingest batch dirties one shard, the next run
 //     rescans that shard alone and re-merges it with 15 cached partials.
 //     Cached partials are immutable (frozen) and shared read-only across
@@ -50,8 +51,11 @@ import (
 //     single observation changed since the cached run.
 //
 // All layers are safe for concurrent use and bounded: programs by entry
-// count, bitmaps, partials and results by an approximate byte budget with
-// LRU eviction.
+// count with LRU eviction; bitmaps, partials and results by an
+// approximate byte budget, each in a segmented LRU (segLRU, slru.go) that
+// admits new entries to a probation segment of 1/8 of the budget and
+// protects entries that have been hit. Byte counts in CacheStats cover
+// both segments.
 
 // Default cache bounds for new tables.
 const (
@@ -148,18 +152,29 @@ type progEntry struct {
 	prog *filterProgram
 }
 
-type bitmapEntry struct {
-	key   bitmapKey
+// atEpoch is a cached per-shard value (a bitmap or a frozen partial,
+// immutable once stored) with the shard epoch it was built at.
+type atEpoch[T any] struct {
 	epoch uint64
-	bits  *bitmap // immutable once stored
-	bytes int
+	val   T
 }
 
-type partialEntry struct {
-	key   partialKey
-	epoch uint64
-	part  *freqstats.Partial // frozen before store, immutable
-	bytes int
+// lookupAtEpoch returns l's value for k if it was built at exactly the
+// given epoch, counting the hit. A stale entry (its epoch can never match
+// again — epochs only grow) is a miss but stays resident: the scan that
+// missed rebuilds the value and its store replaces the entry in place, so
+// a key that has earned the protected segment keeps it across writes.
+// In-flight scans holding a replaced or evicted value keep their
+// reference; it simply stops being findable. The caller holds the cache's
+// mutex.
+func lookupAtEpoch[K comparable, T any](l *segLRU[K, atEpoch[T]], k K, epoch uint64) (T, bool) {
+	ent, ok := l.get(k)
+	if !ok || ent.epoch != epoch {
+		var zero T
+		return zero, false
+	}
+	l.hit(k)
+	return ent.val, true
 }
 
 // scanCache is a table's layer-1..3 cache (programs, bitmaps, partials).
@@ -173,32 +188,18 @@ type scanCache struct {
 	progLRU  list.List
 	maxProgs int
 
-	bitmaps  map[bitmapKey]*list.Element // of *bitmapEntry
-	bmLRU    list.List
-	bmBytes  int
-	maxBytes int
-
-	partials     map[partialKey]*list.Element // of *partialEntry
-	pLRU         list.List
-	pBytes       int
-	maxPartBytes int
+	bitmaps  segLRU[bitmapKey, atEpoch[*bitmap]]
+	partials segLRU[partialKey, atEpoch[*freqstats.Partial]]
 
 	progHits, progMisses atomic.Uint64
 	bmHits, bmMisses     atomic.Uint64
-	bmEvictions          atomic.Uint64
 	pHits, pMisses       atomic.Uint64
-	pEvictions           atomic.Uint64
 }
 
 func newScanCache(maxProgs, maxBytes, maxPartBytes int) *scanCache {
-	return &scanCache{
-		progs:        make(map[string]*list.Element),
-		bitmaps:      make(map[bitmapKey]*list.Element),
-		partials:     make(map[partialKey]*list.Element),
-		maxProgs:     maxProgs,
-		maxBytes:     maxBytes,
-		maxPartBytes: maxPartBytes,
-	}
+	c := &scanCache{progs: make(map[string]*list.Element)}
+	c.setLimits(maxProgs, maxBytes, maxPartBytes)
+	return c
 }
 
 // setLimits reconfigures the bounds; zero disables (and clears) the
@@ -207,12 +208,12 @@ func (c *scanCache) setLimits(maxProgs, maxBytes, maxPartBytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.maxProgs = maxProgs
-	c.maxBytes = maxBytes
-	c.maxPartBytes = maxPartBytes
-	c.evictLocked()
+	c.evictProgramsLocked()
+	c.bitmaps.setMaxBytes(maxBytes)
+	c.partials.setMaxBytes(maxPartBytes)
 }
 
-// bumpSchemaVersion invalidates both layers. Nothing calls it today —
+// bumpSchemaVersion invalidates every layer. Nothing calls it today —
 // schemas are immutable after NewTable — but it is the seam an ALTER
 // TABLE implementation must go through.
 func (c *scanCache) bumpSchemaVersion() {
@@ -221,12 +222,8 @@ func (c *scanCache) bumpSchemaVersion() {
 	c.schemaVersion++
 	c.progs = make(map[string]*list.Element)
 	c.progLRU.Init()
-	c.bitmaps = make(map[bitmapKey]*list.Element)
-	c.bmLRU.Init()
-	c.bmBytes = 0
-	c.partials = make(map[partialKey]*list.Element)
-	c.pLRU.Init()
-	c.pBytes = 0
+	c.bitmaps.clear()
+	c.partials.clear()
 }
 
 // lookupProgram returns the cached compiled program for a predicate key.
@@ -259,30 +256,32 @@ func (c *scanCache) storeProgram(key string, prog *filterProgram) {
 		return
 	}
 	c.progs[key] = c.progLRU.PushFront(&progEntry{key: key, prog: prog})
-	c.evictLocked()
+	c.evictProgramsLocked()
+}
+
+// evictProgramsLocked drops least-recently-used programs down to the
+// entry bound.
+func (c *scanCache) evictProgramsLocked() {
+	for c.progLRU.Len() > 0 && c.progLRU.Len() > c.maxProgs {
+		oldest := c.progLRU.Back()
+		c.progLRU.Remove(oldest)
+		delete(c.progs, oldest.Value.(*progEntry).key)
+	}
 }
 
 // lookupBitmap returns the cached selection bitmap for (key, shard) if it
-// was built at exactly the given epoch. A stale entry is removed on the
-// spot (its epoch can never match again — epochs only grow). The returned
+// was built at exactly the given epoch (see lookupAtEpoch). The returned
 // bitmap is shared and must be treated read-only.
 func (c *scanCache) lookupBitmap(key string, shard int, epoch uint64) (*bitmap, bool) {
-	k := bitmapKey{expr: key, shard: shard}
 	c.mu.Lock()
-	e, ok := c.bitmaps[k]
-	if ok {
-		ent := e.Value.(*bitmapEntry)
-		if ent.epoch == epoch {
-			c.bmLRU.MoveToFront(e)
-			c.mu.Unlock()
-			c.bmHits.Add(1)
-			return ent.bits, true
-		}
-		c.removeBitmapLocked(e)
-	}
+	bits, ok := lookupAtEpoch(&c.bitmaps, bitmapKey{expr: key, shard: shard}, epoch)
 	c.mu.Unlock()
-	c.bmMisses.Add(1)
-	return nil, false
+	if !ok {
+		c.bmMisses.Add(1)
+		return nil, false
+	}
+	c.bmHits.Add(1)
+	return bits, true
 }
 
 // bitmapFootprint is the byte charge for caching an n-bit bitmap.
@@ -299,56 +298,32 @@ func (c *scanCache) acceptsBitmap(nbits int) bool {
 	nbytes := bitmapFootprint(nbits)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.maxBytes > 0 && nbytes <= c.maxBytes
+	return nbytes <= c.bitmaps.maxBytes
 }
 
 // storeBitmap publishes a freshly computed selection bitmap. The cache
 // takes ownership: the caller must not mutate bits afterwards.
 func (c *scanCache) storeBitmap(key string, shard int, epoch uint64, bits *bitmap) {
-	nbytes := bitmapFootprint(bits.n)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.maxBytes <= 0 || nbytes > c.maxBytes {
-		return
-	}
-	k := bitmapKey{expr: key, shard: shard}
-	if e, ok := c.bitmaps[k]; ok {
-		c.removeBitmapLocked(e)
-	}
-	c.bitmaps[k] = c.bmLRU.PushFront(&bitmapEntry{key: k, epoch: epoch, bits: bits, bytes: nbytes})
-	c.bmBytes += nbytes
-	c.evictLocked()
-}
-
-func (c *scanCache) removeBitmapLocked(e *list.Element) {
-	ent := e.Value.(*bitmapEntry)
-	c.bmLRU.Remove(e)
-	delete(c.bitmaps, ent.key)
-	c.bmBytes -= ent.bytes
+	c.bitmaps.put(bitmapKey{expr: key, shard: shard}, atEpoch[*bitmap]{epoch, bits}, bitmapFootprint(bits.n))
 }
 
 // lookupPartial returns the cached sample partial for a key if it was
-// built at exactly the given epoch. A stale entry is removed on the spot
-// (its epoch can never match again — epochs only grow). The returned
+// built at exactly the given epoch (see lookupAtEpoch). The returned
 // partial is frozen and shared; callers merge from it read-only and must
 // not release it to the scan pool (releaseSamplePart skips frozen
 // partials).
 func (c *scanCache) lookupPartial(k partialKey, epoch uint64) (*freqstats.Partial, bool) {
 	c.mu.Lock()
-	e, ok := c.partials[k]
-	if ok {
-		ent := e.Value.(*partialEntry)
-		if ent.epoch == epoch {
-			c.pLRU.MoveToFront(e)
-			c.mu.Unlock()
-			c.pHits.Add(1)
-			return ent.part, true
-		}
-		c.removePartialLocked(e)
-	}
+	p, ok := lookupAtEpoch(&c.partials, k, epoch)
 	c.mu.Unlock()
-	c.pMisses.Add(1)
-	return nil, false
+	if !ok {
+		c.pMisses.Add(1)
+		return nil, false
+	}
+	c.pHits.Add(1)
+	return p, true
 }
 
 // acceptsPartial reports whether the cache would keep a partial of the
@@ -358,70 +333,33 @@ func (c *scanCache) lookupPartial(k partialKey, epoch uint64) (*freqstats.Partia
 func (c *scanCache) acceptsPartial(nbytes int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.maxPartBytes > 0 && nbytes <= c.maxPartBytes
+	return nbytes <= c.partials.maxBytes
 }
 
 // storePartial publishes a frozen sample partial. The partial must be
 // frozen (immutable) before the call; from here on it may be shared by
 // any number of concurrent merges.
 func (c *scanCache) storePartial(k partialKey, epoch uint64, p *freqstats.Partial) {
-	nbytes := p.FootprintBytes()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.maxPartBytes <= 0 || nbytes > c.maxPartBytes {
-		return
-	}
-	if e, ok := c.partials[k]; ok {
-		c.removePartialLocked(e)
-	}
-	c.partials[k] = c.pLRU.PushFront(&partialEntry{key: k, epoch: epoch, part: p, bytes: nbytes})
-	c.pBytes += nbytes
-	c.evictLocked()
-}
-
-func (c *scanCache) removePartialLocked(e *list.Element) {
-	ent := e.Value.(*partialEntry)
-	c.pLRU.Remove(e)
-	delete(c.partials, ent.key)
-	c.pBytes -= ent.bytes
-}
-
-// evictLocked drops LRU entries until every layer fits its bounds.
-// In-flight scans holding a dropped bitmap or partial keep their
-// reference; the entry simply stops being findable.
-func (c *scanCache) evictLocked() {
-	for c.bmBytes > c.maxBytes && c.bmLRU.Len() > 0 {
-		c.removeBitmapLocked(c.bmLRU.Back())
-		c.bmEvictions.Add(1)
-	}
-	for c.pBytes > c.maxPartBytes && c.pLRU.Len() > 0 {
-		c.removePartialLocked(c.pLRU.Back())
-		c.pEvictions.Add(1)
-	}
-	for c.progLRU.Len() > 0 && c.progLRU.Len() > c.maxProgs {
-		oldest := c.progLRU.Back()
-		c.progLRU.Remove(oldest)
-		delete(c.progs, oldest.Value.(*progEntry).key)
-	}
+	c.partials.put(k, atEpoch[*freqstats.Partial]{epoch, p}, p.FootprintBytes())
 }
 
 // stats snapshots the scan-layer counters.
 func (c *scanCache) stats() CacheStats {
 	c.mu.Lock()
-	bmBytes := c.bmBytes
-	pBytes := c.pBytes
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	return CacheStats{
 		ProgramHits:      c.progHits.Load(),
 		ProgramMisses:    c.progMisses.Load(),
 		BitmapHits:       c.bmHits.Load(),
 		BitmapMisses:     c.bmMisses.Load(),
-		BitmapEvictions:  c.bmEvictions.Load(),
-		BitmapBytes:      bmBytes,
+		BitmapEvictions:  c.bitmaps.evictions,
+		BitmapBytes:      c.bitmaps.bytes(),
 		PartialHits:      c.pHits.Load(),
 		PartialMisses:    c.pMisses.Load(),
-		PartialEvictions: c.pEvictions.Load(),
-		PartialBytes:     pBytes,
+		PartialEvictions: c.partials.evictions,
+		PartialBytes:     c.partials.bytes(),
 	}
 }
 
@@ -437,15 +375,16 @@ type resultKey struct {
 	epochs [numShards]uint64
 }
 
+// resultEntry is a cached result with the epochs it was computed at.
 type resultEntry struct {
-	key   resultKey
-	res   *Result
-	bytes int
+	epochs [numShards]uint64
+	res    *Result
 }
 
-// resultBase is a resultKey without the epochs: all entries sharing a
+// resultBase is a resultKey without the epochs: all results sharing a
 // base answer the same (table, query, config), just at different data
-// versions — of which only the newest can ever hit again.
+// versions — of which only the newest can ever hit again, so the cache
+// keeps one entry per base.
 type resultBase struct {
 	table  uint64
 	query  string
@@ -459,29 +398,25 @@ func (k resultKey) base() resultBase {
 // resultCache is the executor's opt-in layer-3 cache. Cached *Result
 // values are shared between callers and must be treated read-only.
 type resultCache struct {
-	mu       sync.Mutex
-	entries  map[resultKey]*list.Element // of *resultEntry
-	latest   map[resultBase]*list.Element
-	lru      list.List
-	bytes    int
-	maxBytes int
+	mu      sync.Mutex
+	entries segLRU[resultBase, resultEntry]
 
-	hits, misses, evictions atomic.Uint64
+	hits, misses atomic.Uint64
 }
 
 func newResultCache(maxBytes int) *resultCache {
-	return &resultCache{
-		entries:  make(map[resultKey]*list.Element),
-		latest:   make(map[resultBase]*list.Element),
-		maxBytes: maxBytes,
-	}
+	c := &resultCache{}
+	c.entries.setMaxBytes(maxBytes)
+	return c
 }
 
 func (c *resultCache) lookup(key resultKey) (*Result, bool) {
+	base := key.base()
 	c.mu.Lock()
-	e, ok := c.entries[key]
+	ent, ok := c.entries.get(base)
+	ok = ok && ent.epochs == key.epochs
 	if ok {
-		c.lru.MoveToFront(e)
+		c.entries.hit(base)
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -489,40 +424,27 @@ func (c *resultCache) lookup(key resultKey) (*Result, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return e.Value.(*resultEntry).res, true
+	return ent.res, true
 }
 
 func (c *resultCache) store(key resultKey, res *Result) {
 	nbytes := approxResultBytes(res)
+	base := key.base()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Replace any entry for the same (table, query, config) at an older
+	// Replace the entry for the same (table, query, config) at an older
 	// epoch vector: epochs only grow, so once a newer version exists the
 	// older one can never hit again — under write churn it would just sit
-	// dead in the budget until LRU pressure found it. The replacement is
-	// one-directional: a concurrent query that scanned before a write may
-	// try to store its (now unreachable) older-epoch result after the
-	// fresher one landed, and must not displace it. Epoch vectors of one
-	// table are componentwise ordered (scans snapshot under all read
-	// locks), so "older" is well-defined.
-	if prev, ok := c.latest[key.base()]; ok {
-		pe := prev.Value.(*resultEntry).key.epochs
-		if pe != key.epochs && epochsDominate(pe, key.epochs) {
-			return // incoming result is staler than the cached one
-		}
-		c.removeLocked(prev)
+	// dead in the budget. The replacement is one-directional: a concurrent
+	// query that scanned before a write may try to store its (now
+	// unreachable) older-epoch result after the fresher one landed, and
+	// must not displace it. Epoch vectors of one table are componentwise
+	// ordered (scans snapshot under all read locks), so "older" is
+	// well-defined.
+	if prev, ok := c.entries.get(base); ok && prev.epochs != key.epochs && epochsDominate(prev.epochs, key.epochs) {
+		return // incoming result is staler than the cached one
 	}
-	if nbytes > c.maxBytes {
-		return
-	}
-	e := c.lru.PushFront(&resultEntry{key: key, res: res, bytes: nbytes})
-	c.entries[key] = e
-	c.latest[key.base()] = e
-	c.bytes += nbytes
-	for c.bytes > c.maxBytes && c.lru.Len() > 0 {
-		c.removeLocked(c.lru.Back())
-		c.evictions.Add(1)
-	}
+	c.entries.put(base, resultEntry{epochs: key.epochs, res: res}, nbytes)
 }
 
 // epochsDominate reports whether every component of a is >= b.
@@ -535,25 +457,14 @@ func epochsDominate(a, b [numShards]uint64) bool {
 	return true
 }
 
-func (c *resultCache) removeLocked(e *list.Element) {
-	ent := e.Value.(*resultEntry)
-	c.lru.Remove(e)
-	delete(c.entries, ent.key)
-	if c.latest[ent.key.base()] == e {
-		delete(c.latest, ent.key.base())
-	}
-	c.bytes -= ent.bytes
-}
-
 func (c *resultCache) stats() CacheStats {
 	c.mu.Lock()
-	bytes := c.bytes
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	return CacheStats{
 		ResultHits:      c.hits.Load(),
 		ResultMisses:    c.misses.Load(),
-		ResultEvictions: c.evictions.Load(),
-		ResultBytes:     bytes,
+		ResultEvictions: c.entries.evictions,
+		ResultBytes:     c.entries.bytes(),
 	}
 }
 

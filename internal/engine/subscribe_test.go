@@ -281,7 +281,15 @@ func TestSoakSubscriptionUnderStreamingWriters(t *testing.T) {
 	const perWriter = 160
 	const entityPool = 80
 
-	// Consumer: every emission is checked for internal consistency.
+	// Consumer, the only reader of Updates: every emission is checked
+	// for internal consistency and recorded by sample fingerprint, so the
+	// quiesce step below can wait for the converged state without racing
+	// this goroutine for the latest-wins channel.
+	var (
+		mu       sync.Mutex
+		received = map[uint64]*Result{}
+		recorded = make(chan struct{}, 1)
+	)
 	consumed := make(chan int, 1)
 	go func() {
 		n := 0
@@ -289,6 +297,13 @@ func TestSoakSubscriptionUnderStreamingWriters(t *testing.T) {
 			if res.Sample != nil {
 				if err := res.Sample.CheckInvariants(); err != nil {
 					t.Errorf("emission %d: %v", n, err)
+				}
+				mu.Lock()
+				received[res.Sample.Fingerprint()] = res
+				mu.Unlock()
+				select {
+				case recorded <- struct{}{}:
+				default:
 				}
 			}
 			n++
@@ -332,7 +347,22 @@ func TestSoakSubscriptionUnderStreamingWriters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := awaitEmission(t, sub, fresh.Sample.Fingerprint())
+	want := fresh.Sample.Fingerprint()
+	deadline := time.After(10 * time.Second)
+	var res *Result
+	for {
+		mu.Lock()
+		res = received[want]
+		mu.Unlock()
+		if res != nil {
+			break
+		}
+		select {
+		case <-recorded:
+		case <-deadline:
+			t.Fatalf("no emission matching fingerprint %x within deadline (err=%v)", want, sub.Err())
+		}
+	}
 	if !reflect.DeepEqual(res.Estimates, fresh.Estimates) {
 		t.Fatalf("converged emission differs from fresh query:\n  got  %+v\n  want %+v", res.Estimates, fresh.Estimates)
 	}

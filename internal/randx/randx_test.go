@@ -2,6 +2,7 @@ package randx
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -240,5 +241,20 @@ func TestDeriveIndependentStreams(t *testing.T) {
 		if len(labels) > 1 {
 			t.Fatalf("Derive collision on %d: %v", v, labels)
 		}
+	}
+}
+
+// sim.GroundTruth.SampleSource hands SampleWithoutReplacement's output to
+// callers in order (the first index drawn is the first observation of the
+// source), so the order — smallest exponential key first — is a contract,
+// not just the selected set.
+func TestSampleWithoutReplacementGoldenOrder(t *testing.T) {
+	got, err := SampleWithoutReplacement(New(7), ExponentialWeights(40, 1), 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{8, 2, 23, 0, 1, 5, 6, 3, 4, 7, 9, 11}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("SampleWithoutReplacement order = %v, want %v", got, want)
 	}
 }

@@ -10,9 +10,9 @@
 #   BENCH_COMPARE_COUNT   -count per side (default 5; median is compared)
 #   BENCH_COMPARE_DIR     output dir for old.txt/new.txt/benchstat.txt
 #
-# The gate covers the columnar scan and repeated-query benchmarks at a
-# 15% ns/op threshold; everything else in the pattern is warn-only
-# (hosted CI runners are noisy). Raw outputs are left in
+# The gate covers the columnar scan, repeated-query and Monte-Carlo
+# estimator benchmarks at a 15% ns/op threshold; everything else in the
+# pattern is warn-only (hosted CI runners are noisy). Raw outputs are left in
 # $BENCH_COMPARE_DIR for artifact upload / benchstat spelunking.
 set -euo pipefail
 
@@ -27,8 +27,13 @@ BASE="${BASE:-origin/main}"
 # bench_string_test.go) are measured warn-only for now: they are new in
 # this PR, so the merge-base side has no corresponding runs to gate
 # against. Promote them into GATE once a post-merge baseline exists.
-PATTERN="${BENCH_COMPARE_PATTERN:-ColumnarFilteredSum|ColumnarGroupBy|ColumnarQueryFanOut|RepeatedQuery|MultiPass|DiskFilteredSum|DiskCompactedFilteredSum|DiskGroupBy|IncrementalRequery|ServeQuery|StringFilteredSum|StringGroupBy}"
-GATE="${BENCH_COMPARE_GATE:-^BenchmarkColumnar(FilteredSumScan|GroupByScan|QueryFanOut)$|^BenchmarkRepeatedQuery|^BenchmarkDisk(FilteredSumScan|GroupByScan)$|^BenchmarkIncrementalRequery$}"
+# MonteCarloMixSample (internal/core) times the paper's Monte-Carlo
+# estimator, the dominant cost of a default-estimator query, on
+# estimate-mix-shaped samples; it is gated from the start — a merge-base
+# without it reports "new (no baseline)" rather than failing.
+PACKAGES=(. ./internal/core)
+PATTERN="${BENCH_COMPARE_PATTERN:-ColumnarFilteredSum|ColumnarGroupBy|ColumnarQueryFanOut|RepeatedQuery|MultiPass|DiskFilteredSum|DiskCompactedFilteredSum|DiskGroupBy|IncrementalRequery|ServeQuery|StringFilteredSum|StringGroupBy|MonteCarloMixSample}"
+GATE="${BENCH_COMPARE_GATE:-^BenchmarkColumnar(FilteredSumScan|GroupByScan|QueryFanOut)$|^BenchmarkRepeatedQuery|^BenchmarkDisk(FilteredSumScan|GroupByScan)$|^BenchmarkIncrementalRequery$|^BenchmarkMonteCarloMixSample/}"
 COUNT="${BENCH_COMPARE_COUNT:-5}"
 OUT="${BENCH_COMPARE_DIR:-bench-compare}"
 THRESHOLD="${BENCH_COMPARE_THRESHOLD:-15}"
@@ -46,14 +51,14 @@ fi
 go run ./cmd/benchgate env
 
 echo "bench-compare: measuring HEAD (pattern '$PATTERN', count $COUNT)"
-go test -run=NONE -bench "$PATTERN" -benchmem -count "$COUNT" . | tee "$OUT/new.txt"
+go test -run=NONE -bench "$PATTERN" -benchmem -count "$COUNT" "${PACKAGES[@]}" | tee "$OUT/new.txt"
 
 worktree="$(mktemp -d)"
 git worktree add --detach "$worktree" "$base_commit" >/dev/null
 trap 'git worktree remove --force "$worktree" >/dev/null' EXIT
 
 echo "bench-compare: measuring merge-base"
-(cd "$worktree" && go test -run=NONE -bench "$PATTERN" -benchmem -count "$COUNT" .) | tee "$OUT/old.txt"
+(cd "$worktree" && go test -run=NONE -bench "$PATTERN" -benchmem -count "$COUNT" "${PACKAGES[@]}") | tee "$OUT/old.txt"
 
 if command -v benchstat >/dev/null 2>&1; then
     benchstat "$OUT/old.txt" "$OUT/new.txt" | tee "$OUT/benchstat.txt" || true
