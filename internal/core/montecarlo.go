@@ -199,15 +199,28 @@ func (m MonteCarlo) forEachCell(n int, fn func(k int)) {
 // gets key Exp(1)/w_i, drawn in index order, and the n_j smallest keys are
 // the source's items. Algorithm 2 only needs how often each item was
 // drawn, not the order, so the kernel selects the n_j smallest (key,
-// index) pairs (smallestK) and increments their counts. Equal keys that
-// straddle the n_j-th place, which a sort leaves in unspecified order, go
-// to the lower index. The key, scratch and count buffers and the RNG are
-// allocated once per cell and reused by every run; re-seeding the one
-// rand.Rand yields the same stream as randx.New would.
+// index) pairs (selectSmallest) and increments their counts. Equal keys
+// that straddle the n_j-th place, which a sort leaves in unspecified
+// order, go to the lower index. Like randx.SampleWithoutReplacement, a
+// zero weight (exp underflow at an extreme lambda) gets an +Inf key without
+// a draw, +Inf keys are never counted, and a non-finite weight (exp
+// overflow) or a vector without a positive weight makes the cell's
+// distance +Inf. The key and count buffers and
+// the RNG are allocated once per cell and reused by every run; re-seeding
+// the one rand.Rand yields the same stream as randx.New would.
 func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) float64 {
 	weights := randx.ExponentialWeights(thetaN, lambda)
+	drawable := false
+	for _, w := range weights {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return math.Inf(1)
+		}
+		drawable = drawable || w > 0
+	}
+	if !drawable {
+		return math.Inf(1)
+	}
 	keys := make([]keyedItem, thetaN)
-	scratch := make([]keyedItem, thetaN)
 	counts := make([]int, thetaN)
 	var rng *rand.Rand
 	var total float64
@@ -221,13 +234,18 @@ func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, si
 		}
 		clear(counts)
 		for _, nj := range sizes {
-			// ExponentialWeights are strictly positive, so every key is
-			// finite and every item is drawable.
 			for i, w := range weights {
-				keys[i] = keyedItem{key: rng.ExpFloat64() / w, idx: int32(i)}
+				key := math.Inf(1)
+				if w > 0 {
+					key = rng.ExpFloat64() / w
+				}
+				keys[i] = keyedItem{key: key, idx: int32(i)}
 			}
-			for _, it := range smallestK(keys, scratch, nj) {
-				counts[it.idx]++
+			selectSmallest(keys, nj)
+			for _, it := range keys[:min(nj, thetaN)] {
+				if !math.IsInf(it.key, 1) {
+					counts[it.idx]++
+				}
 			}
 		}
 		total += profileDistance(observed, counts)
@@ -245,67 +263,6 @@ type keyedItem struct {
 // a strict total order and the selected set is unique.
 func (a keyedItem) before(b keyedItem) bool {
 	return a.key < b.key || (a.key == b.key && a.idx < b.idx)
-}
-
-// smallestK returns the k items of xs with the smallest (key, index), in
-// no particular order (all of xs if k >= len(xs)). It may permute xs and
-// overwrite scratch, which must be as long as xs.
-//
-// Most simulated sources draw a small share of the population, so
-// instead of partitioning all of xs it first guesses a key threshold a
-// little above the k-th smallest from a strided sample of 32 keys, and
-// copies the items under it to scratch in one branch-free pass. When at
-// least k items fall under the threshold, the k smallest are all among
-// them and only those are partitioned; otherwise (a low guess, rare) it
-// selects over all of xs. The result is exact either way.
-func smallestK(xs, scratch []keyedItem, k int) []keyedItem {
-	n := len(xs)
-	if k >= n {
-		return xs
-	}
-	const samples = 32
-	if n >= 4*samples && k > 0 {
-		// Aim two standard deviations of the sample fraction, plus one
-		// place, above the target fraction k/n: the threshold is the
-		// sample's r-th smallest key (0-based), found by insertion into
-		// the sorted r+1 smallest so far.
-		p := float64(k) / float64(n)
-		if r := int(p*samples+2*math.Sqrt(samples*p*(1-p))) + 1; r < samples {
-			var low [samples]float64
-			kept := 0
-			for i := 0; i < samples; i++ {
-				v := xs[i*n/samples].key
-				if kept > r {
-					if v >= low[r] {
-						continue
-					}
-					kept--
-				}
-				j := kept
-				for ; j > 0 && low[j-1] > v; j-- {
-					low[j] = low[j-1]
-				}
-				low[j] = v
-				kept++
-			}
-			t := low[r]
-			m := 0
-			for _, it := range xs {
-				scratch[m] = it
-				var under int
-				if it.key < t {
-					under = 1
-				}
-				m += under
-			}
-			if m >= k {
-				selectSmallest(scratch[:m], k)
-				return scratch[:k]
-			}
-		}
-	}
-	selectSmallest(xs, k)
-	return xs[:k]
 }
 
 // selectSmallest permutes xs so that xs[:k] holds its k smallest items

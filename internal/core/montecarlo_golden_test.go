@@ -57,3 +57,46 @@ func TestMonteCarloGoldenBits(t *testing.T) {
 		})
 	}
 }
+
+// Lambda grids far outside the paper's [-0.4, 0.4] push exp(-lambda*10*i/N)
+// past float64's range: a large positive lambda underflows the tail
+// weights to zero (those items are never drawn and take no RNG draw), a
+// large negative one overflows them to +Inf (the cell is rejected with
+// distance +Inf). Both are pinned to randx.SampleWithoutReplacement's
+// handling, captured like mcGolden.
+var mcGoldenExtremeLambda = []struct {
+	name         string
+	mc           MonteCarlo
+	fixture      func(testing.TB) *freqstats.Sample
+	n, sum, sumN uint64
+}{
+	{"streaker-wide", MonteCarlo{LambdaMin: -1000, LambdaMax: 1000, LambdaStep: 500}, streakerSample,
+		0x4075aee30f9525d8, 0x412cfccdd37a6f4e, 0x4075aee30f9525d8},
+	{"streaker-underflow", MonteCarlo{LambdaMin: 0, LambdaMax: 1000, LambdaStep: 250}, streakerSample,
+		0x4083137a6f4de9bd, 0x413980910b21642c, 0x4083137a6f4de9bd},
+	{"mix-c200-wide", MonteCarlo{LambdaMin: -1000, LambdaMax: 1000, LambdaStep: 500},
+		func(tb testing.TB) *freqstats.Sample { return mixSample(tb, 200) },
+		0x4072232323232323, 0x416e54e61e1e1e1e, 0x4072232323232323},
+}
+
+func TestMonteCarloGoldenBitsExtremeLambda(t *testing.T) {
+	for _, g := range mcGoldenExtremeLambda {
+		t.Run(g.name, func(t *testing.T) {
+			s := g.fixture(t)
+			check := func(what string, workers int, got float64, want uint64) {
+				t.Helper()
+				if math.Float64bits(got) != want {
+					t.Errorf("workers=%d %s = %v (%#x), want %v (%#x)", workers, what, got, math.Float64bits(got), math.Float64frombits(want), want)
+				}
+			}
+			for _, workers := range []int{0, 1} {
+				mc := g.mc
+				mc.Workers = workers
+				check("EstimateN", workers, mc.EstimateN(s), g.n)
+				est := mc.EstimateSum(s)
+				check("EstimateSum.Estimated", workers, est.Estimated, g.sum)
+				check("EstimateSum.CountEstimated", workers, est.CountEstimated, g.sumN)
+			}
+		})
+	}
+}
