@@ -58,9 +58,9 @@ bench-record:
 
 # bench-scaling charts scan and fan-out throughput (rows/s) against
 # GOMAXPROCS. The shard scan should scale near-linearly on multi-core
-# hosted runners; the dev container is 1-CPU, so all -cpu points
-# coincide there — the canonical curve comes from the CI bench-compare
-# artifact (scaling.txt).
+# hosted runners; the dev container is 2-CPU, so the -cpu 4 point
+# matches -cpu 2 there — the canonical curve comes from the CI
+# bench-compare artifact (scaling.txt).
 bench-scaling:
 	go test -run=NONE -bench='^BenchmarkScaling' -cpu 1,2,4 -benchmem -count=$(BENCH_COUNT) .
 

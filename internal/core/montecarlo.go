@@ -33,12 +33,14 @@ import (
 // so it favors solutions with N-hat close to c — the conservative bias
 // discussed in Section 6.1.1.
 //
-// Each simulated source costs one O(θN) selection of its n_j smallest
-// exponential keys rather than an O(θN log θN) sort of all θN of them:
-// Algorithm 2 only counts how often each item is drawn (see
-// simulateDistance). Results are bitwise those of drawing every source
-// with randx.SampleWithoutReplacement (montecarlo_golden_test.go pins
-// them).
+// Each simulated source costs one O(θN) threshold selection over its
+// exponential keys (the n_j-th smallest key, then one pass that counts
+// every key at or below it) rather than an O(θN log θN) sort of all θN of
+// them: Algorithm 2 only counts how often each item is drawn (see
+// simulateDistance). The profile distance reuses its buffers across runs.
+// Results are bitwise those of drawing every source with
+// randx.SampleWithoutReplacement and comparing profiles with
+// stats.SmoothedKLDivergence (montecarlo_golden_test.go pins them).
 //
 // The grid search is embarrassingly parallel and runs on up to Workers
 // goroutines. Every (grid cell, run) pair derives its own RNG stream from
@@ -198,16 +200,16 @@ func (m MonteCarlo) forEachCell(n int, fn func(k int)) {
 // replacement, exactly as randx.SampleWithoutReplacement makes it: item i
 // gets key Exp(1)/w_i, drawn in index order, and the n_j smallest keys are
 // the source's items. Algorithm 2 only needs how often each item was
-// drawn, not the order, so the kernel selects the n_j smallest (key,
-// index) pairs (selectSmallest) and increments their counts. Equal keys
-// that straddle the n_j-th place, which a sort leaves in unspecified
-// order, go to the lower index. Like randx.SampleWithoutReplacement, a
-// zero weight (exp underflow at an extreme lambda) gets an +Inf key without
-// a draw, +Inf keys are never counted, and a non-finite weight (exp
-// overflow) or a vector without a positive weight makes the cell's
-// distance +Inf. The key and count buffers and
-// the RNG are allocated once per cell and reused by every run; re-seeding
-// the one rand.Rand yields the same stream as randx.New would.
+// drawn, not the order, so countSmallest finds the n_j-th smallest key
+// and counts every item at or below it. Equal keys that straddle the
+// n_j-th place, which a sort leaves in unspecified order, go to the lower
+// index. Like randx.SampleWithoutReplacement, a zero weight (exp
+// underflow at an extreme lambda) gets an +Inf key without a draw, +Inf
+// keys are never counted, and a non-finite weight (exp overflow) or a
+// vector without a positive weight makes the cell's distance +Inf. The
+// key, scratch, count and profile buffers and the RNG are allocated once
+// per cell and reused by every run; re-seeding the one rand.Rand yields
+// the same stream as randx.New would.
 func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) float64 {
 	weights := randx.ExponentialWeights(thetaN, lambda)
 	drawable := false
@@ -220,8 +222,10 @@ func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, si
 	if !drawable {
 		return math.Inf(1)
 	}
-	keys := make([]keyedItem, thetaN)
+	keys := make([]float64, thetaN)
+	scratch := make([]int64, thetaN)
 	counts := make([]int, thetaN)
+	var dist profileDistance
 	var rng *rand.Rand
 	var total float64
 	runs := m.runs()
@@ -239,101 +243,130 @@ func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, si
 				if w > 0 {
 					key = rng.ExpFloat64() / w
 				}
-				keys[i] = keyedItem{key: key, idx: int32(i)}
+				keys[i] = key
 			}
-			selectSmallest(keys, nj)
-			for _, it := range keys[:min(nj, thetaN)] {
-				if !math.IsInf(it.key, 1) {
-					counts[it.idx]++
-				}
-			}
+			countSmallest(keys, scratch, counts, nj)
 		}
-		total += profileDistance(observed, counts)
+		total += dist.distance(observed, counts)
 	}
 	return total / float64(runs)
 }
 
-// keyedItem is one item's exponential key in a simulated source draw.
-type keyedItem struct {
-	key float64
-	idx int32
-}
-
-// before orders items by key, then index. Indexes are distinct, so this is
-// a strict total order and the selected set is unique.
-func (a keyedItem) before(b keyedItem) bool {
-	return a.key < b.key || (a.key == b.key && a.idx < b.idx)
-}
-
-// selectSmallest permutes xs so that xs[:k] holds its k smallest items
-// (in no particular order). It is a quickselect with median-of-three
-// pivots, O(len(xs)) expected; past a depth limit it sorts the remaining
-// range, which bounds the worst case at O(n log n).
-func selectSmallest(xs []keyedItem, k int) {
-	if k <= 0 || k >= len(xs) {
+// countSmallest adds one to counts[i] for each of the nj smallest keys,
+// ranked by (key, index), except that +Inf keys are never counted. Keys
+// must be >= 0 or +Inf: their IEEE bits then order like their values, so
+// the selection runs on int64 bit patterns. scratch (len(keys) long) is
+// overwritten.
+//
+// It finds the nj-th smallest key t by quickselect on a copy of the keys,
+// then one branch-free pass counts every key <= t. When more than nj keys
+// are <= t, the excess are keys equal to t, and a backward pass takes the
+// count back from the highest indexes among them, so the lower index wins
+// a tie. An infinite t counts only the finite keys below it.
+func countSmallest(keys []float64, scratch []int64, counts []int, nj int) {
+	if nj <= 0 {
 		return
 	}
-	lo, hi := 0, len(xs)-1 // the k-th smallest (index k-1) lies in [lo, hi]
-	for depth := 2 * bits.Len(uint(len(xs))); hi > lo; depth-- {
-		if depth == 0 {
-			slices.SortFunc(xs[lo:hi+1], func(a, b keyedItem) int {
-				if a.before(b) {
-					return -1
-				}
-				return 1
-			})
-			return
+	counts = counts[:len(keys)]
+	// Every key whose bits are below lim is counted.
+	lim := int64(math.Float64bits(math.Inf(1)))
+	if nj < len(keys) {
+		for i, x := range keys {
+			scratch[i] = int64(math.Float64bits(x))
 		}
-		// Median of three to xs[lo]; then Hoare-partition around it.
-		mid := lo + (hi-lo)/2
-		if xs[mid].before(xs[lo]) {
-			xs[mid], xs[lo] = xs[lo], xs[mid]
-		}
-		if xs[hi].before(xs[lo]) {
-			xs[hi], xs[lo] = xs[lo], xs[hi]
-		}
-		if xs[hi].before(xs[mid]) {
-			xs[hi], xs[mid] = xs[mid], xs[hi]
-		}
-		xs[lo], xs[mid] = xs[mid], xs[lo]
-		p := xs[lo]
-		i, j := lo, hi+1
-		for {
-			for i++; i <= hi && xs[i].before(p); i++ {
-			}
-			for j--; p.before(xs[j]); j-- {
-			}
-			if i >= j {
-				break
-			}
-			xs[i], xs[j] = xs[j], xs[i]
-		}
-		xs[lo], xs[j] = xs[j], xs[lo]
-		// xs[j] is now in its sorted position.
-		switch {
-		case j == k-1 || j == k:
-			return
-		case j < k-1:
-			lo = j + 1
-		default:
-			hi = j - 1
+		if t := nthSmallest(scratch[:len(keys)], nj-1); t < lim {
+			lim = t + 1
 		}
 	}
+	taken := 0
+	for i, x := range keys {
+		below := int(uint64(int64(math.Float64bits(x))-lim) >> 63)
+		counts[i] += below
+		taken += below
+	}
+	t := math.Float64frombits(uint64(lim - 1))
+	for i := len(keys) - 1; taken > nj; i-- {
+		if keys[i] == t {
+			counts[i]--
+			taken--
+		}
+	}
+}
+
+// nthSmallest permutes xs and returns its k-th smallest value (0-based).
+// It is a quickselect with median-of-three pivots and a branch-free
+// Lomuto partition, O(len(xs)) expected. Lomuto degrades to quadratic on
+// runs of equal values (such as the +Inf keys of underflowed weights), so
+// past a depth limit it sorts the remaining range, which bounds the worst
+// case at O(n log n).
+func nthSmallest(xs []int64, k int) int64 {
+	lo, hi := 0, len(xs)-1 // xs[k] lies in [lo, hi]
+	for depth := 2 * bits.Len(uint(len(xs))); hi > lo; depth-- {
+		if depth == 0 {
+			slices.Sort(xs[lo : hi+1])
+			break
+		}
+		// Median of three to xs[hi] as the pivot.
+		mid := lo + (hi-lo)/2
+		if xs[mid] < xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] < xs[lo] {
+			xs[hi], xs[lo] = xs[lo], xs[hi]
+		}
+		if xs[mid] < xs[hi] {
+			xs[mid], xs[hi] = xs[hi], xs[mid]
+		}
+		p := xs[hi]
+		// Lomuto: xs[lo:i] < p <= xs[i:j]. Every element is swapped to
+		// xs[i], and i advances past it when it is below the pivot. The
+		// subtraction cannot overflow: the values are non-negative.
+		part := xs[lo:hi]
+		i := 0
+		for j, x := range part {
+			part[j] = part[i]
+			part[i] = x
+			i += int(uint64(x-p) >> 63)
+		}
+		i += lo
+		xs[hi] = xs[i]
+		xs[i] = p
+		switch {
+		case i == k:
+			return p
+		case i < k:
+			lo = i + 1
+		default:
+			hi = i - 1
+		}
+	}
+	return xs[k]
 }
 
 // profileDistance indexes the observed and simulated occurrence profiles
 // against each other (Algorithm 2's "indexing" step): both are sorted
 // descending, padded to a common length — so the i-th most frequent
 // observed entity is compared with the i-th most frequent simulated one —
-// normalized, smoothed, and compared with KL divergence D(F'_S || F_Q).
+// smoothed, normalized, and compared with KL divergence D(F'_S || F_Q).
 // Simulated counts are at most the number of sources, so the simulated
-// profile is sorted by a counting sort.
-func profileDistance(observed []int, simulated []int) float64 {
+// profile is sorted by a counting sort. The zero value is ready to use;
+// its buffers grow on demand and are reused across runs. The result is
+// bitwise that of stats.SmoothedKLDivergence over the padded profiles.
+type profileDistance struct {
+	hist   []int
+	fs, fq []float64
+}
+
+func (d *profileDistance) distance(observed []int, simulated []int) float64 {
 	maxCount := 0
 	for _, v := range simulated {
 		maxCount = max(maxCount, v)
 	}
-	hist := make([]int, maxCount+1)
+	if cap(d.hist) <= maxCount {
+		d.hist = make([]int, maxCount+1)
+	}
+	hist := d.hist[:maxCount+1]
+	clear(hist)
 	for _, v := range simulated {
 		hist[v]++
 	}
@@ -344,10 +377,18 @@ func profileDistance(observed []int, simulated []int) float64 {
 	if width == 0 {
 		return 0
 	}
-	fs := make([]float64, width)
-	fq := make([]float64, width)
-	for i, v := range observed {
-		fs[i] = float64(v)
+	if cap(d.fs) < width {
+		d.fs, d.fq = make([]float64, width), make([]float64, width)
+	}
+	fs, fq := d.fs[:width], d.fq[:width]
+	// Smooth as stats.SmoothedKLDivergence does: every empty (padding)
+	// cell gets the default epsilon.
+	const eps = stats.DefaultSmoothingEpsilon
+	for i := range fs {
+		fs[i] = eps
+		if i < len(observed) && observed[i] > 0 {
+			fs[i] = float64(observed[i])
+		}
 	}
 	i := 0
 	for v := maxCount; v > 0; v-- {
@@ -356,9 +397,31 @@ func profileDistance(observed []int, simulated []int) float64 {
 			i++
 		}
 	}
-	d, err := stats.SmoothedKLDivergence(fs, fq, 0)
+	for ; i < width; i++ {
+		fq[i] = eps
+	}
+	normalize(fs)
+	normalize(fq)
+	kl, err := stats.KLDivergence(fs, fq)
 	if err != nil {
 		return math.Inf(1)
 	}
-	return d
+	return kl
+}
+
+// normalize scales xs in place to sum to one, with stats.Normalize's
+// operation order and its uniform fallback for a non-positive or
+// non-finite sum.
+func normalize(xs []float64) {
+	s := stats.Sum(xs)
+	if s <= 0 || math.IsInf(s, 0) || math.IsNaN(s) {
+		u := 1 / float64(len(xs))
+		for i := range xs {
+			xs[i] = u
+		}
+		return
+	}
+	for i, x := range xs {
+		xs[i] = x / s
+	}
 }

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/freqstats"
 	"repro/internal/randx"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func TestMonteCarloEmptyAndDegenerate(t *testing.T) {
@@ -173,6 +176,10 @@ func TestMonteCarloConservativeBias(t *testing.T) {
 }
 
 func TestProfileDistance(t *testing.T) {
+	profileDistance := func(observed, simulated []int) float64 {
+		var d profileDistance
+		return d.distance(observed, simulated)
+	}
 	// Identical profiles: zero distance.
 	if d := profileDistance([]int{3, 2, 1}, []int{1, 2, 3}); d > 1e-6 {
 		t.Errorf("identical profiles distance = %g", d)
@@ -203,30 +210,62 @@ func TestMonteCarloDefaults(t *testing.T) {
 	}
 }
 
-func sortKeyed(xs []keyedItem) {
-	slices.SortFunc(xs, func(a, b keyedItem) int {
-		if a.before(b) {
-			return -1
+// sortedSelection is the reference for countSmallest: the counts a full
+// sort of the (key, index) pairs gives when the first k are drawn and
+// +Inf keys are not counted.
+func sortedSelection(keys []float64, k int) []int {
+	idx := make([]int, len(keys))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
 		}
-		return 1
+		return cmp.Compare(a, b)
 	})
+	counts := make([]int, len(keys))
+	for _, i := range idx[:min(max(k, 0), len(keys))] {
+		if !math.IsInf(keys[i], 1) {
+			counts[i]++
+		}
+	}
+	return counts
 }
 
-// selectSmallest must produce exactly the k smallest (key, index) pairs
-// for every k: with random keys, heavy ties, +Inf keys (zero weights) and
-// keys trending up or down along the index (as skewed publicity weights
-// make them).
-func TestSelectSmallestMatchesSort(t *testing.T) {
+// checkCountSmallest runs countSmallest on counts that already hold
+// earlier sources' draws and compares the increments with the sort.
+func checkCountSmallest(t *testing.T, what string, keys []float64, k int) {
+	t.Helper()
+	want := sortedSelection(keys, k)
+	counts := make([]int, len(keys))
+	for i := range counts {
+		counts[i] = i % 3
+		want[i] += i % 3
+	}
+	countSmallest(keys, make([]int64, len(keys)), counts, k)
+	for i := range counts {
+		if counts[i] != want[i] {
+			t.Fatalf("%s n=%d k=%d: counts[%d] = %d (key %v), want %d", what, len(keys), k, i, counts[i], keys[i], want[i])
+		}
+	}
+}
+
+// countSmallest must count exactly the k smallest (key, index) pairs for
+// every k: with random keys, ties at the k-th place, +Inf keys (zero
+// weights, including a k-th smallest key of +Inf) and keys trending up or
+// down along the index (as skewed publicity weights make them).
+func TestCountSmallestMatchesSort(t *testing.T) {
 	rng := randx.New(9)
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.Intn(200)
 		if trial%2 == 0 {
 			n = 1 + rng.Intn(3000)
 		}
-		xs := make([]keyedItem, n)
-		for i := range xs {
+		keys := make([]float64, n)
+		for i := range keys {
 			key := rng.ExpFloat64()
-			switch trial % 4 {
+			switch trial % 5 {
 			case 1:
 				key = float64(rng.Intn(4)) // heavy ties
 			case 2:
@@ -236,20 +275,147 @@ func TestSelectSmallestMatchesSort(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					key = math.Inf(1)
 				}
+			case 4:
+				if rng.Intn(4) != 0 {
+					key = math.Inf(1) // mostly +Inf: k often lands on +Inf
+				}
 			}
-			xs[i] = keyedItem{key: key, idx: int32(i)}
+			keys[i] = key
 		}
-		sorted := slices.Clone(xs)
-		sortKeyed(sorted)
-		for _, k := range []int{0, 1, rng.Intn(n + 1), n / 20, n / 2, n - 1, n} {
-			got := slices.Clone(xs)
-			selectSmallest(got, k)
-			head := got[:k]
-			sortKeyed(head)
-			if !slices.Equal(head, sorted[:k]) {
-				t.Fatalf("selectSmallest trial %d n=%d k=%d: selected %v, want %v", trial, n, k, head, sorted[:k])
+		ks := []int{0, 1, rng.Intn(n + 1), n / 20, n / 2, n - 1, n, n + 5}
+		for _, k := range ks {
+			checkCountSmallest(t, fmt.Sprintf("trial %d", trial), keys, k)
+		}
+		// Force a tie at the k-th place: copy the k-th smallest key onto
+		// random other items, so equal keys straddle the boundary.
+		k := 1 + rng.Intn(n)
+		tied := slices.Clone(keys)
+		sorted := slices.Clone(keys)
+		slices.Sort(sorted)
+		for r := 0; r < 1+n/10; r++ {
+			tied[rng.Intn(n)] = sorted[k-1]
+		}
+		checkCountSmallest(t, fmt.Sprintf("trial %d tied", trial), tied, k)
+	}
+}
+
+// Inputs that make a plain Lomuto quickselect quadratic (equal keys, as
+// +Inf keys of underflowed weights are, and presorted keys) must stay
+// O(n log n) through the depth guard: each selection is bounded by a
+// small multiple of sorting random keys of the same size, far below the
+// ~n/log n factor a quadratic run would take at n = 65,536.
+func TestCountSmallestAdversarialInputs(t *testing.T) {
+	const n = 1 << 16
+	rng := randx.New(3)
+	random := make([]float64, n)
+	for i := range random {
+		random[i] = rng.ExpFloat64()
+	}
+	minTime := func(f func()) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for r := 0; r < 3; r++ {
+			start := time.Now()
+			f()
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	sortTime := minTime(func() { slices.Sort(slices.Clone(random)) })
+
+	inputs := map[string]func(i int) float64{
+		"all-equal":  func(int) float64 { return 1 },
+		"ascending":  func(i int) float64 { return float64(i) },
+		"descending": func(i int) float64 { return float64(n - i) },
+		"90%-inf": func(i int) float64 {
+			if i%10 != 0 {
+				return math.Inf(1)
+			}
+			return random[i]
+		},
+	}
+	for name, key := range inputs {
+		keys := make([]float64, n)
+		for i := range keys {
+			keys[i] = key(i)
+		}
+		for _, k := range []int{1, n / 20, n / 2, n - 1} {
+			checkCountSmallest(t, name, keys, k)
+			scratch := make([]int64, n)
+			counts := make([]int, n)
+			if d := minTime(func() { countSmallest(keys, scratch, counts, k) }); d > 20*sortTime+10*time.Millisecond {
+				t.Errorf("%s k=%d: countSmallest took %v, sorting %d random keys %v", name, k, d, n, sortTime)
 			}
 		}
+	}
+}
+
+// referenceDistance is the unfused Algorithm 2 distance: the profiles
+// sorted descending, padded to a common length and compared with
+// stats.SmoothedKLDivergence.
+func referenceDistance(observed, simulated []int) float64 {
+	var sim []int
+	for _, v := range simulated {
+		if v > 0 {
+			sim = append(sim, v)
+		}
+	}
+	slices.Sort(sim)
+	slices.Reverse(sim)
+	width := max(len(observed), len(sim))
+	if width == 0 {
+		return 0
+	}
+	fs := make([]float64, width)
+	fq := make([]float64, width)
+	for i, v := range observed {
+		fs[i] = float64(v)
+	}
+	for i, v := range sim {
+		fq[i] = float64(v)
+	}
+	d, err := stats.SmoothedKLDivergence(fs, fq, 0)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return d
+}
+
+// The fused distance, growing and reusing its buffers across calls, is
+// bitwise the unfused one: observed longer than simulated and the other
+// way round, an all-zero simulated profile, and both empty.
+func TestProfileDistanceMatchesSmoothedKL(t *testing.T) {
+	const maxObserved, maxItems, maxSources = 300, 400, 12
+	var dist profileDistance
+	check := func(what string, observed, simulated []int) {
+		t.Helper()
+		got := dist.distance(observed, simulated)
+		want := referenceDistance(observed, simulated)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: distance %v (%#x), want %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	check("both empty", nil, nil)
+	check("all-zero simulated", []int{3, 2, 1}, make([]int, 5))
+	check("empty observed", nil, []int{0, 2, 1})
+	check("observed longer", []int{5, 4, 3, 3, 2, 1, 1}, []int{0, 2, 0, 1})
+	check("simulated longer", []int{2, 1}, []int{1, 1, 3, 2, 1, 0, 1})
+
+	rng := randx.New(5)
+	for trial := 0; trial < 300; trial++ {
+		sources := 1 + rng.Intn(maxSources)
+		observed := make([]int, rng.Intn(maxObserved+1))
+		for i := range observed {
+			observed[i] = 1 + rng.Intn(sources)
+		}
+		slices.Sort(observed)
+		slices.Reverse(observed)
+		simulated := make([]int, rng.Intn(maxItems+1))
+		for i := range simulated {
+			if rng.Intn(3) > 0 {
+				simulated[i] = rng.Intn(sources + 1)
+			}
+		}
+		check(fmt.Sprintf("trial %d", trial), observed, simulated)
 	}
 }
 

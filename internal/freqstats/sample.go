@@ -385,11 +385,13 @@ func (s *Sample) SumValues() float64 {
 }
 
 // SumSingletonValues returns phi_f1: the sum of attribute values over the
-// entities observed exactly once (paper Section 3.2).
+// entities observed exactly once (paper Section 3.2). Like SumValues it
+// sums in first-observation order, so the result does not depend on map
+// iteration order.
 func (s *Sample) SumSingletonValues() float64 {
 	var sum float64
-	for _, es := range s.ents {
-		if es.count == 1 {
+	for _, id := range s.order {
+		if es := s.ents[id]; es.count == 1 {
 			sum += es.value
 		}
 	}

@@ -2,6 +2,7 @@ package freqstats
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -361,6 +362,37 @@ func TestSingletonSumProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// SumSingletonValues feeds the Frequency estimator, so its float sum must
+// not depend on map iteration order: it is bitwise the first-observation
+// order sum on every call and on a clone. Values span many magnitudes so
+// that a different summation order would round differently.
+func TestSumSingletonValuesDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := NewSample()
+	for i := 0; i < 2000; i++ {
+		id := fmt.Sprintf("e%d", i)
+		v := rng.Float64() * math.Pow(10, float64(rng.Intn(12)))
+		must(t, s.Add(obs(id, v, "a")))
+		if i%5 == 0 {
+			must(t, s.Add(obs(id, v, "b")))
+		}
+	}
+	var want float64
+	for _, id := range s.order {
+		if s.ents[id].count == 1 {
+			want += s.ents[id].value
+		}
+	}
+	for rep := 0; rep < 20; rep++ {
+		if got := s.SumSingletonValues(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: SumSingletonValues = %v, want first-observation order sum %v", rep, got, want)
+		}
+		if got := s.Clone().SumSingletonValues(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("clone %d: SumSingletonValues = %v, want first-observation order sum %v", rep, got, want)
+		}
 	}
 }
 

@@ -24,16 +24,16 @@ BASE="${BASE:-origin/main}"
 # setup rebuilds the store per run, which keeps the page cache warm and
 # the measurement stable enough to hard-gate at the shared threshold.
 # The String* scan benchmarks (dictionary-encoded string predicates,
-# bench_string_test.go) are measured warn-only for now: they are new in
-# this PR, so the merge-base side has no corresponding runs to gate
-# against. Promote them into GATE once a post-merge baseline exists.
+# bench_string_test.go) are gated like the other scans; their
+# *RowBaseline companions (the per-row fallback they are compared with)
+# stay warn-only.
 # MonteCarloMixSample (internal/core) times the paper's Monte-Carlo
 # estimator, the dominant cost of a default-estimator query, on
 # estimate-mix-shaped samples; it is gated from the start — a merge-base
 # without it reports "new (no baseline)" rather than failing.
 PACKAGES=(. ./internal/core)
 PATTERN="${BENCH_COMPARE_PATTERN:-ColumnarFilteredSum|ColumnarGroupBy|ColumnarQueryFanOut|RepeatedQuery|MultiPass|DiskFilteredSum|DiskCompactedFilteredSum|DiskGroupBy|IncrementalRequery|ServeQuery|StringFilteredSum|StringGroupBy|MonteCarloMixSample}"
-GATE="${BENCH_COMPARE_GATE:-^BenchmarkColumnar(FilteredSumScan|GroupByScan|QueryFanOut)$|^BenchmarkRepeatedQuery|^BenchmarkDisk(FilteredSumScan|GroupByScan)$|^BenchmarkIncrementalRequery$|^BenchmarkMonteCarloMixSample/}"
+GATE="${BENCH_COMPARE_GATE:-^BenchmarkColumnar(FilteredSumScan|GroupByScan|QueryFanOut)$|^BenchmarkRepeatedQuery|^BenchmarkDisk(FilteredSumScan|GroupByScan)$|^BenchmarkIncrementalRequery$|^BenchmarkString(FilteredSumScan|GroupByScan)/|^BenchmarkMonteCarloMixSample/}"
 COUNT="${BENCH_COMPARE_COUNT:-5}"
 OUT="${BENCH_COMPARE_DIR:-bench-compare}"
 THRESHOLD="${BENCH_COMPARE_THRESHOLD:-15}"
