@@ -84,5 +84,6 @@ crash-smoke:
 fuzz-smoke:
 	go test ./internal/sqlparse -run=NONE -fuzz='FuzzParse$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/sqlparse -run=NONE -fuzz='FuzzParsePredicate$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/randx -run=NONE -fuzz='FuzzSourceMatchesMathRand$$' -fuzztime=$(FUZZTIME)
 
 ci: fmt vet build race test bench-smoke serve-smoke crash-smoke fuzz-smoke

