@@ -85,5 +85,6 @@ fuzz-smoke:
 	go test ./internal/sqlparse -run=NONE -fuzz='FuzzParse$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/sqlparse -run=NONE -fuzz='FuzzParsePredicate$$' -fuzztime=$(FUZZTIME)
 	go test ./internal/randx -run=NONE -fuzz='FuzzSourceMatchesMathRand$$' -fuzztime=$(FUZZTIME)
+	go test ./internal/randx -run=NONE -fuzz='FuzzExpFloat64sMatchesExpFloat64$$' -fuzztime=$(FUZZTIME)
 
 ci: fmt vet build race test bench-smoke serve-smoke crash-smoke fuzz-smoke

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
+	"sync"
 
 	"repro/internal/freqstats"
 	"repro/internal/parallelx"
@@ -32,17 +33,20 @@ import (
 // so it favors solutions with N-hat close to c — the conservative bias
 // discussed in Section 6.1.1.
 //
-// Each simulated source costs one O(θN) threshold selection over its
-// exponential keys (the n_j-th smallest key, then one pass that counts
-// every key at or below it) rather than an O(θN log θN) sort of all θN of
-// them: Algorithm 2 only counts how often each item is drawn (see
-// simulateDistance). The keys come from a randx.Source, which yields
-// rand.Rand's stream without its interface call and re-seeds by jump-ahead.
-// The profile distance reuses its buffers across runs and computes each
-// KL term once per run of equal profile pairs. Results are bitwise those
-// of drawing every source with randx.SampleWithoutReplacement from
-// randx.New and comparing profiles with stats.SmoothedKLDivergence
-// (montecarlo_golden_test.go pins them).
+// Each simulated source costs one batched fill of its θN exponential keys
+// and one pass that divides them by their weights, rather than an
+// O(θN log θN) sort: Algorithm 2 only counts how often each item is
+// drawn, so only the n_j smallest keys matter (see simulateDistance). The
+// division pass lists the keys under a per-source threshold calibrated
+// once per cell, and the n_j-th smallest key is selected from that short
+// candidate list, or from every key when it falls short. The keys come
+// from a randx.Source, which yields rand.Rand's stream without its
+// interface call and re-seeds by jump-ahead. Per-cell buffers and RNGs
+// are pooled. The profile distance computes each KL term once per run of
+// equal profile pairs. Results are bitwise those of drawing every source
+// with randx.SampleWithoutReplacement from randx.New and comparing
+// profiles with stats.SmoothedKLDivergence (montecarlo_golden_test.go
+// pins them).
 //
 // The grid search is embarrassingly parallel and runs on up to Workers
 // goroutines. Every (grid cell, run) pair derives its own RNG stream from
@@ -122,17 +126,25 @@ func (m MonteCarlo) EstimateSum(s *freqstats.Sample) Estimate {
 // EstimateN runs Algorithm 3 and returns the Monte-Carlo count estimate
 // N-hat_MC in [c, N-hat_Chao92].
 func (m MonteCarlo) EstimateN(s *freqstats.Sample) float64 {
+	n, _ := m.estimateN(s)
+	return n
+}
+
+// estimateN is EstimateN that also reports how the simulated sources were
+// selected.
+func (m MonteCarlo) estimateN(s *freqstats.Sample) (float64, selectionPaths) {
+	var paths selectionPaths
 	c := float64(s.C())
 	if c == 0 {
-		return 0
+		return 0, paths
 	}
 	chao := species.Chao92(s)
 	if !chao.Valid || chao.N <= c+1e-9 {
-		return c
+		return c, paths
 	}
 	sizes := s.SourceSizes()
 	if len(sizes) == 0 {
-		return c
+		return c, paths
 	}
 	observed := s.OccurrenceCounts()
 
@@ -160,11 +172,17 @@ func (m MonteCarlo) EstimateN(s *freqstats.Sample) float64 {
 	us := make([]float64, len(cells))
 	vs := make([]float64, len(cells))
 	zs := make([]float64, len(cells))
+	cellPaths := make([]selectionPaths, len(cells))
 	m.forEachCell(len(cells), func(k int) {
 		us[k] = cells[k].u
 		vs[k] = cells[k].lam
-		zs[k] = m.simulateDistance(k, cells[k].thetaN, cells[k].lam, sizes, observed)
+		zs[k], cellPaths[k] = m.simulateDistance(k, cells[k].thetaN, cells[k].lam, sizes, observed)
 	})
+	for _, p := range cellPaths {
+		paths.sources += p.sources
+		paths.calibration += p.calibration
+		paths.fallback += p.fallback
+	}
 
 	surface, err := stats.FitQuadSurface(us, vs, zs)
 	if err != nil {
@@ -175,10 +193,10 @@ func (m MonteCarlo) EstimateN(s *freqstats.Sample) float64 {
 				best = i
 			}
 		}
-		return c + us[best]*(chao.N-c)
+		return c + us[best]*(chao.N-c), paths
 	}
 	u, _, _ := surface.MinOnGrid(0, 1, lamLo, lamHi, 200)
-	return c + u*(chao.N-c)
+	return c + u*(chao.N-c), paths
 }
 
 // forEachCell runs fn(0..n-1) on the configured number of workers. Cells
@@ -192,6 +210,17 @@ func (m MonteCarlo) forEachCell(n int, fn func(k int)) {
 	parallelx.ForEach(n, workers, fn)
 }
 
+// selectionPaths counts how an estimate's simulated sources were
+// selected: a cell's first source calibrates the cell's thresholds and is
+// selected over every drawable key, and every later one over its
+// candidates, unless they fall short of its n_j and it falls back to
+// every drawable key.
+type selectionPaths struct {
+	sources     int // simulated sources drawn
+	calibration int // calibration draws
+	fallback    int // candidate lists shorter than n_j
+}
+
 // simulateDistance is Algorithm 2: the average smoothed KL divergence over
 // the configured number of runs between the observed occurrence profile
 // and profiles simulated with population size thetaN and skew lambda.
@@ -201,89 +230,236 @@ func (m MonteCarlo) forEachCell(n int, fn func(k int)) {
 // Each simulated source is an Efraimidis-Spirakis draw without
 // replacement, exactly as randx.SampleWithoutReplacement makes it: item i
 // gets key Exp(1)/w_i, drawn in index order, and the n_j smallest keys are
-// the source's items. Algorithm 2 only needs how often each item was
-// drawn, not the order, so countSmallest finds the n_j-th smallest key
-// and counts every item at or below it. Equal keys that straddle the
-// n_j-th place, which a sort leaves in unspecified order, go to the lower
-// index. Like randx.SampleWithoutReplacement, a zero weight (exp
-// underflow at an extreme lambda) gets an +Inf key without a draw, +Inf
-// keys are never counted, and a non-finite weight (exp overflow) or a
-// vector without a positive weight makes the cell's distance +Inf. The
-// key, scratch, count and profile buffers and the RNG are allocated once
-// per cell and reused by every run. The RNG is a randx.Source re-seeded
-// per run, which yields the stream randx.New would, bit for bit.
-func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) float64 {
-	weights := randx.ExponentialWeights(thetaN, lambda)
-	drawable := false
-	for _, w := range weights {
-		if !(w >= 0) || math.IsInf(w, 1) {
-			return math.Inf(1)
-		}
-		drawable = drawable || w > 0
+// the source's items. Like randx.SampleWithoutReplacement, a zero weight
+// (exp underflow at an extreme lambda) takes no draw and is never drawn,
+// and a non-finite weight (exp overflow) or a vector without a positive
+// weight makes the cell's distance +Inf. A source's draws are filled in
+// one batch per maximal run of positive weights (randx.Source.ExpFloat64s),
+// then divided by their weights in place.
+//
+// Algorithm 2 only needs how often each item was drawn, not the order, so
+// countSmallest finds the n_j-th smallest key and counts every item at or
+// below it; equal keys that straddle the n_j-th place, which a sort leaves
+// in unspecified order, go to the lower index. It does not look at every
+// key: most sources draw a small share of the θN items, so the division
+// pass also lists each source's candidates, the keys at or below a
+// threshold calibrated once per cell from the cell's first draw (see
+// mcCell.calibrate), and the selection runs on those. A threshold is only
+// a filter: the candidates hold every key at or below it, so whenever they
+// number at least n_j they hold the n_j smallest, and when they do not the
+// selection runs over every drawable key. Either way the selected set is
+// the one a full sort gives.
+//
+// The buffers, the weights and the RNG come from a pool and are reused
+// by every run. The RNG is a randx.Source re-seeded per run, which yields
+// the stream randx.New would, bit for bit.
+func (m MonteCarlo) simulateDistance(cellIdx int, thetaN int, lambda float64, sizes []int, observed []int) (float64, selectionPaths) {
+	var paths selectionPaths
+	c := cellPool.Get().(*mcCell)
+	defer cellPool.Put(c)
+	if !c.reset(thetaN, lambda) {
+		return math.Inf(1), paths
 	}
-	if !drawable {
-		return math.Inf(1)
-	}
-	keys := make([]float64, thetaN)
-	scratch := make([]int64, thetaN)
-	counts := make([]int, thetaN)
-	var dist profileDistance
-	var rng randx.Source
 	var total float64
 	runs := m.runs()
 	for r := 0; r < runs; r++ {
-		rng.Seed(randx.Derive(m.Seed, int64(cellIdx), int64(r)))
-		clear(counts)
-		for _, nj := range sizes {
-			for i, w := range weights {
-				key := math.Inf(1)
-				if w > 0 {
-					key = rng.ExpFloat64() / w
-				}
-				keys[i] = key
+		c.rng.Seed(randx.Derive(m.Seed, int64(cellIdx), int64(r)))
+		clear(c.counts)
+		for j, nj := range sizes {
+			c.draw()
+			if r == 0 && j == 0 {
+				c.selectSource(nj, takeAll)
+				c.calibrate(sizes)
+				paths.calibration++
+			} else if c.selectSource(nj, c.lims[j]) {
+				paths.fallback++
 			}
-			countSmallest(keys, scratch, counts, nj)
 		}
-		total += dist.distance(observed, counts)
+		total += c.dist.distance(observed, c.counts)
 	}
-	return total / float64(runs)
+	paths.sources = runs * len(sizes)
+	return total / float64(runs), paths
 }
 
-// countSmallest adds one to counts[i] for each of the nj smallest keys,
-// ranked by (key, index), except that +Inf keys are never counted. Keys
-// must be >= 0 or +Inf: their IEEE bits then order like their values, so
-// the selection runs on int64 bit patterns. scratch (len(keys) long) is
-// overwritten.
+// candidateMargin sets how far past a source's n_j its threshold lies:
+// at rank n_j + candidateMargin·(√n_j + 1) of the calibration draw. Two
+// draws' counts at a fixed threshold differ by about √(2·n_j), so a
+// source rarely falls back to every drawable key
+// (TestMonteCarloSelectionPathShares bounds the share at 1%).
+const candidateMargin = 4
+
+// takeAll is a candidate limit above every key's bits: every drawable
+// key is a candidate.
+const takeAll = math.MaxInt64
+
+// mcCell is one grid cell's simulation state: its weights, the buffers
+// every simulated source reuses, and the RNG. cellPool recycles them
+// across cells and estimates.
+type mcCell struct {
+	weights  []float64
+	runs     [][2]int // maximal runs [a, b) of positive weights
+	drawable []int    // the indexes of the positive weights, ascending
+	keys     []float64
+	cand     []int
+	scratch  []int64
+	counts   []int
+	lims     []int64 // each source's candidate limit, from calibrate
+	dist     profileDistance
+	rng      randx.Source
+}
+
+var cellPool = sync.Pool{New: func() any { return new(mcCell) }}
+
+// reset sizes c for a cell of thetaN items with skew lambda. It reports
+// false when the cell cannot be simulated: a non-finite weight or none
+// positive.
+func (c *mcCell) reset(thetaN int, lambda float64) bool {
+	c.weights = resize(c.weights, thetaN)
+	randx.FillExponentialWeights(c.weights, lambda)
+	return c.index()
+}
+
+// index finds the runs of positive weights and sizes the buffers. Like
+// reset, it reports false for a non-finite weight or none positive.
+func (c *mcCell) index() bool {
+	thetaN := len(c.weights)
+	c.runs, c.drawable = c.runs[:0], c.drawable[:0]
+	for i, w := range c.weights {
+		if !(w >= 0) || math.IsInf(w, 1) {
+			return false
+		}
+		if w == 0 {
+			continue
+		}
+		if n := len(c.runs); n > 0 && c.runs[n-1][1] == i {
+			c.runs[n-1][1]++
+		} else {
+			c.runs = append(c.runs, [2]int{i, i + 1})
+		}
+		c.drawable = append(c.drawable, i)
+	}
+	if len(c.drawable) == 0 {
+		return false
+	}
+	// Keys of zero weights are never filled nor read.
+	c.keys = resize(c.keys, thetaN)
+	c.cand = resize(c.cand, thetaN)
+	c.scratch = resize(c.scratch, thetaN)
+	c.counts = resize(c.counts, thetaN)
+	return true
+}
+
+// resize returns a slice of length n, reusing s's array when it is large
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// draw fills the keys with one source's exponential draws, in index
+// order, one batch per run of positive weights.
+func (c *mcCell) draw() {
+	for _, r := range c.runs {
+		c.rng.ExpFloat64s(c.keys[r[0]:r[1]])
+	}
+}
+
+// selectSource divides the drawn keys by their weights in place, listing
+// as candidates the keys whose bits are below lim, and adds one to the
+// counts of the source's nj smallest keys. It reports whether it fell
+// back to every drawable key because fewer than nj were candidates.
+func (c *mcCell) selectSource(nj int, lim int64) (fellBack bool) {
+	keys, cand := c.keys, c.cand
+	nc := 0
+	for _, r := range c.runs {
+		for i := r[0]; i < r[1]; i++ {
+			k := keys[i] / c.weights[i]
+			keys[i] = k
+			cand[nc] = i
+			nc += int(uint64(int64(math.Float64bits(k))-lim) >> 63)
+		}
+	}
+	idx := cand[:nc]
+	if nc < nj && nc < len(c.drawable) {
+		idx, fellBack = c.drawable, true
+	}
+	countSmallest(keys, idx, c.scratch, c.counts, nj)
+	return fellBack
+}
+
+// calibrate sets each source's candidate limit from the divided keys of
+// the cell's first draw: just above the key at rank n_j +
+// candidateMargin·(√n_j + 1). A source whose rank reaches half the items
+// (or exceeds the drawable ones) takes every key, since a filter saves
+// little there.
+func (c *mcCell) calibrate(sizes []int) {
+	// The limits first hold each source's rank, 0 for every key.
+	c.lims = c.lims[:0]
+	top := 0
+	for _, nj := range sizes {
+		rank := nj + int(candidateMargin*(math.Sqrt(float64(nj))+1))
+		if 2*rank >= len(c.keys) || rank > len(c.drawable) {
+			rank = 0
+		}
+		top = max(top, rank)
+		c.lims = append(c.lims, int64(rank))
+	}
+	// Only the top smallest keys are read: select them, then sort them.
+	sorted := c.scratch[:top]
+	if top > 0 {
+		bits := c.scratch[:len(c.drawable)]
+		for k, i := range c.drawable {
+			bits[k] = int64(math.Float64bits(c.keys[i]))
+		}
+		nthSmallest(bits, top-1)
+		slices.Sort(sorted)
+	}
+	for j, rank := range c.lims {
+		c.lims[j] = takeAll
+		if rank > 0 {
+			c.lims[j] = sorted[rank-1] + 1
+		}
+	}
+}
+
+// countSmallest adds one to counts[i] for each of the nj smallest keys
+// among keys[idx[0]], keys[idx[1]], ..., ranked by (key, index), except
+// that +Inf keys are never counted. idx must be ascending. Keys must be
+// >= 0 or +Inf: their IEEE bits then order like their values, so the
+// selection runs on int64 bit patterns. scratch (at least len(idx) long)
+// is overwritten.
 //
 // It finds the nj-th smallest key t by quickselect on a copy of the keys,
 // then one branch-free pass counts every key <= t. When more than nj keys
 // are <= t, the excess are keys equal to t, and a backward pass takes the
 // count back from the highest indexes among them, so the lower index wins
 // a tie. An infinite t counts only the finite keys below it.
-func countSmallest(keys []float64, scratch []int64, counts []int, nj int) {
+func countSmallest(keys []float64, idx []int, scratch []int64, counts []int, nj int) {
 	if nj <= 0 {
 		return
 	}
-	counts = counts[:len(keys)]
 	// Every key whose bits are below lim is counted.
 	lim := int64(math.Float64bits(math.Inf(1)))
-	if nj < len(keys) {
-		for i, x := range keys {
-			scratch[i] = int64(math.Float64bits(x))
+	if nj < len(idx) {
+		bits := scratch[:len(idx)]
+		for k, i := range idx {
+			bits[k] = int64(math.Float64bits(keys[i]))
 		}
-		if t := nthSmallest(scratch[:len(keys)], nj-1); t < lim {
+		if t := nthSmallest(bits, nj-1); t < lim {
 			lim = t + 1
 		}
 	}
 	taken := 0
-	for i, x := range keys {
-		below := int(uint64(int64(math.Float64bits(x))-lim) >> 63)
+	for _, i := range idx {
+		below := int(uint64(int64(math.Float64bits(keys[i]))-lim) >> 63)
 		counts[i] += below
 		taken += below
 	}
 	t := math.Float64frombits(uint64(lim - 1))
-	for i := len(keys) - 1; taken > nj; i-- {
-		if keys[i] == t {
+	for k := len(idx) - 1; taken > nj; k-- {
+		if i := idx[k]; keys[i] == t {
 			counts[i]--
 			taken--
 		}

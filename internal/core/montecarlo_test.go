@@ -214,10 +214,7 @@ func TestMonteCarloDefaults(t *testing.T) {
 // sort of the (key, index) pairs gives when the first k are drawn and
 // +Inf keys are not counted.
 func sortedSelection(keys []float64, k int) []int {
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
+	idx := allIndexes(len(keys))
 	slices.SortFunc(idx, func(a, b int) int {
 		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
 			return c
@@ -233,6 +230,15 @@ func sortedSelection(keys []float64, k int) []int {
 	return counts
 }
 
+// allIndexes is 0, 1, ..., n-1.
+func allIndexes(n int) []int {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	return idx
+}
+
 // checkCountSmallest runs countSmallest on counts that already hold
 // earlier sources' draws and compares the increments with the sort.
 func checkCountSmallest(t *testing.T, what string, keys []float64, k int) {
@@ -243,7 +249,7 @@ func checkCountSmallest(t *testing.T, what string, keys []float64, k int) {
 		counts[i] = i % 3
 		want[i] += i % 3
 	}
-	countSmallest(keys, make([]int64, len(keys)), counts, k)
+	countSmallest(keys, allIndexes(len(keys)), make([]int64, len(keys)), counts, k)
 	for i := range counts {
 		if counts[i] != want[i] {
 			t.Fatalf("%s n=%d k=%d: counts[%d] = %d (key %v), want %d", what, len(keys), k, i, counts[i], keys[i], want[i])
@@ -340,11 +346,128 @@ func TestCountSmallestAdversarialInputs(t *testing.T) {
 		}
 		for _, k := range []int{1, n / 20, n / 2, n - 1} {
 			checkCountSmallest(t, name, keys, k)
-			scratch := make([]int64, n)
-			counts := make([]int, n)
-			if d := minTime(func() { countSmallest(keys, scratch, counts, k) }); d > 20*sortTime+10*time.Millisecond {
+			idx, scratch, counts := allIndexes(n), make([]int64, n), make([]int, n)
+			if d := minTime(func() { countSmallest(keys, idx, scratch, counts, k) }); d > 20*sortTime+10*time.Millisecond {
 				t.Errorf("%s k=%d: countSmallest took %v, sorting %d random keys %v", name, k, d, n, sortTime)
 			}
+		}
+	}
+}
+
+// selectSource, which selects over the keys below a candidate limit and
+// falls back to every drawable key when fewer than n_j are candidates,
+// counts what countSmallest over every drawable key counts and divides
+// the keys in place. The limits sit at, just below and past the n_j-th
+// key (equal keys straddling it), admit no key or every key; n_j is 0, at
+// most the candidates, past them, and past the drawable keys; keys are
+// tied, distinct or +Inf; zero weights split the positive ones into runs.
+func TestSelectSourceMatchesCountSmallest(t *testing.T) {
+	rng := randx.New(13)
+	var c mcCell
+	var candidate, fallback int
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(400)
+		c.weights = resize(c.weights, n)
+		for i := range c.weights {
+			c.weights[i] = 1
+			switch trial % 3 {
+			case 1:
+				c.weights[i] = 0.05 + rng.Float64()
+			case 2:
+				if rng.Intn(5) == 0 {
+					c.weights[i] = 0
+				}
+			}
+		}
+		c.weights[rng.Intn(n)] = 1
+		if !c.index() {
+			t.Fatalf("trial %d: weights rejected", trial)
+		}
+		raw := make([]float64, n)
+		keys := make([]float64, n)
+		var bits []int64
+		for _, i := range c.drawable {
+			raw[i] = rng.ExpFloat64()
+			if trial%3 != 1 {
+				raw[i] = float64(rng.Intn(8)) // heavy ties
+			}
+			if rng.Intn(10) == 0 {
+				raw[i] = math.Inf(1)
+			}
+			keys[i] = raw[i] / c.weights[i]
+			bits = append(bits, int64(math.Float64bits(keys[i])))
+		}
+		slices.Sort(bits)
+		nd := len(c.drawable)
+		for _, nj := range []int{0, 1, 1 + rng.Intn(nd), nd / 2, nd, nd + 3} {
+			lims := []int64{0, takeAll}
+			for _, rank := range []int{nj - 2, nj - 1, nj, nj + 1, 2*nj + 5} {
+				if rank >= 1 && rank <= nd {
+					lims = append(lims, bits[rank-1], bits[rank-1]+1)
+				}
+			}
+			for _, lim := range lims {
+				what := fmt.Sprintf("trial %d n=%d drawable=%d nj=%d lim=%#x", trial, n, nd, nj, lim)
+				for i := range c.keys {
+					c.keys[i] = math.NaN() // zero weights' keys must not be read
+					c.counts[i] = i % 3
+				}
+				for _, i := range c.drawable {
+					c.keys[i] = raw[i]
+				}
+				want := make([]int, n)
+				for i := range want {
+					want[i] = i % 3
+				}
+				countSmallest(keys, c.drawable, make([]int64, n), want, nj)
+				nc := 0
+				for _, i := range c.drawable {
+					if int64(math.Float64bits(keys[i])) < lim {
+						nc++
+					}
+				}
+				wantFell := nc < nj && nc < nd
+				if fell := c.selectSource(nj, lim); fell != wantFell {
+					t.Fatalf("%s: fell back %v with %d candidates", what, fell, nc)
+				}
+				if wantFell {
+					fallback++
+				} else if nj > 0 && nc < nd {
+					candidate++
+				}
+				for _, i := range c.drawable {
+					if math.Float64bits(c.keys[i]) != math.Float64bits(keys[i]) {
+						t.Fatalf("%s: key %d = %v, want %v", what, i, c.keys[i], keys[i])
+					}
+				}
+				for i := range want {
+					if c.counts[i] != want[i] {
+						t.Fatalf("%s: counts[%d] = %d (key %v), want %d", what, i, c.counts[i], keys[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	if candidate == 0 || fallback == 0 {
+		t.Fatalf("%d selections over a proper candidate subset, %d fallbacks: both paths must run", candidate, fallback)
+	}
+}
+
+// On the estimate-mix fixtures each grid cell calibrates once, and at
+// most one simulated source in a hundred finds fewer than n_j candidates
+// and falls back to every drawable key.
+func TestMonteCarloSelectionPathShares(t *testing.T) {
+	for _, c := range []int{150, 200, 750, 900} {
+		s := mixSample(t, c)
+		_, p := MonteCarlo{}.estimateN(s)
+		if want := p.calibration * DefaultMCRuns * len(s.SourceSizes()); p.calibration == 0 || p.sources != want {
+			t.Fatalf("c=%d: %d sources, want %d: one calibration draw per cell of %d", c, p.sources, want, p.calibration)
+		}
+		share := func(k int) float64 { return 100 * float64(k) / float64(p.sources) }
+		t.Logf("c=%d: %d sources, candidates %.2f%%, calibration %.2f%%, fallback %.2f%%", c, p.sources,
+			share(p.sources-p.calibration-p.fallback), share(p.calibration), share(p.fallback))
+		if 100*p.fallback > p.sources {
+			t.Errorf("c=%d: %d of %d sources fell back", c, p.fallback, p.sources)
 		}
 	}
 }

@@ -62,11 +62,17 @@ func ExponentialWeights(n int, lambda float64) []float64 {
 		return nil
 	}
 	w := make([]float64, n)
-	scale := 10 / float64(n)
+	FillExponentialWeights(w, lambda)
+	return w
+}
+
+// FillExponentialWeights sets w to ExponentialWeights(len(w), lambda)
+// without allocating.
+func FillExponentialWeights(w []float64, lambda float64) {
+	scale := 10 / float64(len(w))
 	for i := range w {
 		w[i] = math.Exp(-lambda * scale * float64(i))
 	}
-	return w
 }
 
 // UniformWeights returns n equal weights.

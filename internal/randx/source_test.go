@@ -109,6 +109,97 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	})
 }
 
+// expPaths draws n values from src with ExpFloat64 and counts the draws
+// that leave the ziggurat's fast path for a wedge test or for its tail.
+func expPaths(src *Source, n int) (wedge, tail int) {
+	for range n {
+		if src.pos == rngLen {
+			src.refill()
+		}
+		if j := uint32(src.vec[src.pos] >> 31); j >= ke[j&0xFF] {
+			if j&0xFF == 0 {
+				tail++
+			} else {
+				wedge++
+			}
+		}
+		src.ExpFloat64()
+	}
+	return wedge, tail
+}
+
+// checkExpFloat64s skips skip words of seed's stream, fills n values with
+// ExpFloat64s and compares them, and the next word after them, with n
+// ExpFloat64 calls on a Source and on math/rand.
+func checkExpFloat64s(t testing.TB, seed int64, skip, n int) {
+	t.Helper()
+	var got, ref Source
+	got.Seed(seed)
+	ref.Seed(seed)
+	want := New(seed)
+	for range skip {
+		got.Uint64()
+		ref.Uint64()
+		want.Uint64()
+	}
+	buf := make([]float64, n+1)
+	buf[n] = -1 // a fill must not write past its end
+	got.ExpFloat64s(buf[:n])
+	for k, g := range buf[:n] {
+		r, w := ref.ExpFloat64(), want.ExpFloat64()
+		if math.Float64bits(g) != math.Float64bits(r) || math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("seed %d skip %d n %d: value %d = %v, ExpFloat64 gives %v, math/rand %v", seed, skip, n, k, g, r, w)
+		}
+	}
+	if buf[n] != -1 {
+		t.Fatalf("seed %d skip %d n %d: wrote past the end", seed, skip, n)
+	}
+	if g, w := got.Uint64(), want.Uint64(); g != w {
+		t.Fatalf("seed %d skip %d n %d: next word %#x, math/rand gives %#x", seed, skip, n, g, w)
+	}
+}
+
+// ExpFloat64s is len(dst) ExpFloat64 calls: for fills shorter than,
+// equal to and longer than the 607-word block, from a fresh Source (an
+// empty buffer), mid-block, at its last word and at its end, and for
+// seeds whose fills take the ziggurat's wedge tests and its tail.
+func TestExpFloat64sMatchesExpFloat64(t *testing.T) {
+	lengths := []int{0, 1, rngLen - 1, rngLen, rngLen + 1, sourceDraws}
+	skips := []int{0, 1, 300, rngLen - 1, rngLen}
+	seeds := []int64{1, -1, Derive(7, 3, 1)}
+	// Find a seed whose first sourceDraws draws reach the tail; every
+	// fill that long takes wedge tests.
+	var wedge, tail int
+	for seed := int64(2); tail == 0; seed++ {
+		if seed > 1000 {
+			t.Fatal("no seed in [2, 1000] reaches the ziggurat's tail")
+		}
+		var src Source
+		src.Seed(seed)
+		if wedge, tail = expPaths(&src, sourceDraws); tail > 0 {
+			seeds = append(seeds, seed)
+		}
+	}
+	if wedge == 0 {
+		t.Fatalf("seed %d: no wedge test in %d draws", seeds[len(seeds)-1], sourceDraws)
+	}
+	for _, seed := range seeds {
+		for _, skip := range skips {
+			for _, n := range lengths {
+				checkExpFloat64s(t, seed, skip, n)
+			}
+		}
+	}
+}
+
+func FuzzExpFloat64sMatchesExpFloat64(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint16(sourceDraws))
+	f.Add(int64(-1), uint16(rngLen-1), uint16(rngLen+1))
+	f.Fuzz(func(t *testing.T, seed int64, skip, n uint16) {
+		checkExpFloat64s(t, seed, int(skip), int(n))
+	})
+}
+
 var sinkFloat float64
 
 // BenchmarkSourceSeed times one re-seed, as the Monte-Carlo estimator
@@ -151,5 +242,28 @@ func BenchmarkSourceExpFloat64(b *testing.B) {
 			s += rng.ExpFloat64()
 		}
 		sinkFloat = s
+	})
+}
+
+// BenchmarkSourceExpFloat64s times filling a Monte-Carlo source's 250
+// keys in one call against 250 rand.Rand.ExpFloat64 calls.
+func BenchmarkSourceExpFloat64s(b *testing.B) {
+	dst := make([]float64, 250)
+	b.Run("randx", func(b *testing.B) {
+		var src Source
+		src.Seed(1)
+		for b.Loop() {
+			src.ExpFloat64s(dst)
+		}
+		sinkFloat = dst[0]
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		rng := New(1)
+		for b.Loop() {
+			for i := range dst {
+				dst[i] = rng.ExpFloat64()
+			}
+		}
+		sinkFloat = dst[0]
 	})
 }

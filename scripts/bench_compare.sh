@@ -31,10 +31,11 @@ BASE="${BASE:-origin/main}"
 # estimator, the dominant cost of a default-estimator query, on
 # estimate-mix-shaped samples; it is gated from the start — a merge-base
 # without it reports "new (no baseline)" rather than failing.
-# SourceSeed and SourceExpFloat64 (internal/randx) time the Monte-Carlo
-# RNG's re-seed and draw beside math/rand's; they are warn-only.
+# SourceSeed, SourceExpFloat64 and SourceExpFloat64s (internal/randx) time
+# the Monte-Carlo RNG's re-seed, single draw and batched fill beside
+# math/rand's; they are warn-only.
 PACKAGES=(. ./internal/core ./internal/randx)
-PATTERN="${BENCH_COMPARE_PATTERN:-ColumnarFilteredSum|ColumnarGroupBy|ColumnarQueryFanOut|RepeatedQuery|MultiPass|DiskFilteredSum|DiskCompactedFilteredSum|DiskGroupBy|IncrementalRequery|ServeQuery|StringFilteredSum|StringGroupBy|MonteCarloMixSample|SourceSeed|SourceExpFloat64}"
+PATTERN="${BENCH_COMPARE_PATTERN:-ColumnarFilteredSum|ColumnarGroupBy|ColumnarQueryFanOut|RepeatedQuery|MultiPass|DiskFilteredSum|DiskCompactedFilteredSum|DiskGroupBy|IncrementalRequery|ServeQuery|StringFilteredSum|StringGroupBy|MonteCarloMixSample|SourceSeed|SourceExpFloat64|SourceExpFloat64s}"
 GATE="${BENCH_COMPARE_GATE:-^BenchmarkColumnar(FilteredSumScan|GroupByScan|QueryFanOut)$|^BenchmarkRepeatedQuery|^BenchmarkDisk(FilteredSumScan|GroupByScan)$|^BenchmarkIncrementalRequery$|^BenchmarkString(FilteredSumScan|GroupByScan)/|^BenchmarkMonteCarloMixSample/}"
 COUNT="${BENCH_COMPARE_COUNT:-5}"
 OUT="${BENCH_COMPARE_DIR:-bench-compare}"
